@@ -1,17 +1,17 @@
-//! Engine throughput: the synchronous arena (the paper's model) across
-//! topologies and population sizes. Supports every experiment; the cost
-//! model here is what makes the E1/E6/E7 sweeps feasible.
+//! Engine throughput: the synchronous world of the paper's model
+//! ([`Engine`]) across topologies and population sizes. Supports every
+//! experiment; the cost model here is what makes the E1/E6/E7 sweeps
+//! feasible.
 //!
-//! `engine_vs_arena` pits the pre-engine implementation (per-round
-//! `HashMap` occupancy rebuilds, kept here as a baseline replica) against
-//! the dense touched-list engine that `SyncArena` now delegates to, at
-//! 1024 and 4096 agents.
+//! `engine_vs_arena` pits the pre-engine arena (per-round `HashMap`
+//! occupancy rebuilds, kept here as a baseline replica) against the
+//! dense touched-list engine, at 1024 and 4096 agents.
 
-use antdensity_engine::{Engine, EngineConfig, Scenario, TopologySpec, WorkerPool, STREAM_BLOCK};
+use antdensity_engine::{
+    Engine, EngineConfig, MovementModel, Scenario, TopologySpec, WorkerPool, STREAM_BLOCK,
+};
 use antdensity_graphs::{CompleteGraph, Hypercube, NodeId, Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
-use antdensity_walks::movement::MovementModel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -34,7 +34,7 @@ fn measurement() -> Duration {
     }
 }
 
-/// The pre-engine `SyncArena` hot loop: HashMap occupancy rebuilt from
+/// The pre-engine arena hot loop: HashMap occupancy rebuilt from
 /// scratch every round. Baseline for `engine_vs_arena`.
 struct HashMapArena<T: Topology> {
     topo: T,
@@ -86,27 +86,27 @@ fn bench_arena_round(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("torus2d", 256), |b| {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut arena = SyncArena::new(Torus2d::new(256), agents);
-        arena.place_uniform(&mut rng);
-        b.iter(|| arena.step_round(&mut rng));
+        let mut engine = Engine::new(Torus2d::new(256), agents);
+        engine.place_uniform(&mut rng);
+        b.iter(|| engine.step_round(&mut rng));
     });
     group.bench_function(BenchmarkId::new("ring", 65536), |b| {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut arena = SyncArena::new(Ring::new(65536), agents);
-        arena.place_uniform(&mut rng);
-        b.iter(|| arena.step_round(&mut rng));
+        let mut engine = Engine::new(Ring::new(65536), agents);
+        engine.place_uniform(&mut rng);
+        b.iter(|| engine.step_round(&mut rng));
     });
     group.bench_function(BenchmarkId::new("hypercube", 16), |b| {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut arena = SyncArena::new(Hypercube::new(16), agents);
-        arena.place_uniform(&mut rng);
-        b.iter(|| arena.step_round(&mut rng));
+        let mut engine = Engine::new(Hypercube::new(16), agents);
+        engine.place_uniform(&mut rng);
+        b.iter(|| engine.step_round(&mut rng));
     });
     group.bench_function(BenchmarkId::new("complete", 65536), |b| {
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut arena = SyncArena::new(CompleteGraph::new(65536), agents);
-        arena.place_uniform(&mut rng);
-        b.iter(|| arena.step_round(&mut rng));
+        let mut engine = Engine::new(CompleteGraph::new(65536), agents);
+        engine.place_uniform(&mut rng);
+        b.iter(|| engine.step_round(&mut rng));
     });
     group.finish();
 }
@@ -121,9 +121,9 @@ fn bench_arena_scaling(c: &mut Criterion) {
         group.throughput(Throughput::Elements(agents as u64));
         group.bench_with_input(BenchmarkId::new("torus2d_256", agents), &agents, |b, &n| {
             let mut rng = SmallRng::seed_from_u64(5);
-            let mut arena = SyncArena::new(Torus2d::new(256), n);
-            arena.place_uniform(&mut rng);
-            b.iter(|| arena.step_round(&mut rng));
+            let mut engine = Engine::new(Torus2d::new(256), n);
+            engine.place_uniform(&mut rng);
+            b.iter(|| engine.step_round(&mut rng));
         });
     }
     group.finish();
@@ -139,13 +139,13 @@ fn bench_count_queries(c: &mut Criterion) {
     group.throughput(Throughput::Elements(agents as u64));
     group.bench_function("count_all_agents", |b| {
         let mut rng = SmallRng::seed_from_u64(6);
-        let mut arena = SyncArena::new(Torus2d::new(128), agents);
-        arena.place_uniform(&mut rng);
-        arena.step_round(&mut rng);
+        let mut engine = Engine::new(Torus2d::new(128), agents);
+        engine.place_uniform(&mut rng);
+        engine.step_round(&mut rng);
         b.iter(|| {
             let mut total = 0u64;
             for a in 0..agents {
-                total += arena.count(a) as u64;
+                total += engine.count(a) as u64;
             }
             total
         });
@@ -189,8 +189,8 @@ fn bench_engine_vs_arena(c: &mut Criterion) {
                 });
             },
         );
-        // The chunked deterministic mode, requesting 4 workers. Actual
-        // spawning engages only when the engine's caps allow (>= 4 chunks
+        // The chunked deterministic mode, requesting 4 workers. Pool
+        // dispatch engages only when the engine's caps allow (>= 4 chunks
         // per worker AND multiple cores); at these sizes — and on any
         // single-core box — this measures the chunked-stream path run
         // inline, i.e. the per-(round, chunk) RNG-derivation overhead the
@@ -214,10 +214,9 @@ fn bench_engine_vs_arena(c: &mut Criterion) {
     group.finish();
 }
 
-/// The worker-pool scaling matrix: persistent-pool parallel stepping
-/// (`pool`) against the pre-pool per-round-spawn implementation
-/// (`spawn`), at 1/2/4/8 workers × 1k/16k/256k agents on a 512×512
-/// torus. Both paths produce bit-identical positions (property-tested in
+/// The worker-pool scaling matrix: persistent-pool parallel stepping at
+/// 1/2/4/8 workers × 1k/16k/256k agents on a 512×512 torus. Every
+/// worker count produces bit-identical positions (property-tested in
 /// `crates/engine/tests/determinism.rs`); only the wall clock differs.
 /// `repro bench` emits the same matrix as machine-readable
 /// `BENCH_engine.json`.
@@ -249,14 +248,6 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 let mut rng = SmallRng::seed_from_u64(2);
                 engine.place_uniform(&mut rng);
                 b.iter(|| engine.step_round_parallel());
-            });
-            group.bench_function(BenchmarkId::new(format!("spawn_{workers}w"), agents), |b| {
-                let mut engine = Engine::new(Torus2d::new(512), agents)
-                    .with_seed_sequence(SeedSequence::new(7))
-                    .with_threads(workers);
-                let mut rng = SmallRng::seed_from_u64(2);
-                engine.place_uniform(&mut rng);
-                b.iter(|| engine.step_round_parallel_spawn());
             });
         }
     }

@@ -16,11 +16,11 @@
 //!   same local-mixing story as everywhere else in the paper.
 
 use crate::report::{Effort, ExperimentReport};
+use antdensity_engine::Engine;
 use antdensity_graphs::{generators, Topology, Torus2d};
 use antdensity_netsize::singlewalk::SingleWalk;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::{format_sig, Table};
-use antdensity_walks::arena::SyncArena;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -43,14 +43,14 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         for r in 0..runs {
             let seq = SeedSequence::new(seed ^ (r << 23) ^ tag);
             let mut rng = seq.rng(0);
-            let mut arena = SyncArena::new(&torus, agents);
-            arena.set_avoidance(avoid);
-            arena.set_flee(flee);
-            arena.place_uniform(&mut rng);
+            let mut engine = Engine::new(&torus, agents);
+            engine.set_avoidance(avoid);
+            engine.set_flee(flee);
+            engine.place_uniform(&mut rng);
             let mut total = 0u64;
             for _ in 0..rounds {
-                arena.step_round(&mut rng);
-                total += (0..agents).map(|a| arena.count(a) as u64).sum::<u64>();
+                engine.step_round(&mut rng);
+                total += (0..agents).map(|a| engine.count(a) as u64).sum::<u64>();
             }
             rate_sum += total as f64 / (agents as f64 * rounds as f64);
         }

@@ -308,6 +308,40 @@ fn serve_usage_errors_exit_two() {
 }
 
 #[test]
+fn one_node_topology_is_a_usage_error_not_a_panic() {
+    // A spec naming a 1-node topology used to run every shard and then
+    // panic (exit 101) while building the report; admission now
+    // rejects it before any work starts.
+    let dir = tmp_dir("onenode");
+    for token in ["complete:1", "ring:1", "torus2d:1"] {
+        let spec = dir.join("onenode.sweep");
+        std::fs::write(
+            &spec,
+            format!("name = onenode\ntrials = 1\ntopology = {token}\ndensity = 0.5\nrounds = 4\n"),
+        )
+        .unwrap();
+        let out = repro(&[
+            "sweep",
+            spec.to_str().unwrap(),
+            "--out",
+            dir.join("out").to_str().unwrap(),
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(ExitCode::Usage.code()),
+            "{token}: {}",
+            stderr_of(&out)
+        );
+        assert!(
+            stderr_of(&out).contains("at least 2"),
+            "{}",
+            stderr_of(&out)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_fault_plan_exits_two() {
     let dir = tmp_dir("badplan");
     let spec = write_spec(&dir);

@@ -20,11 +20,10 @@
 
 use crate::noise::CollisionNoise;
 use antdensity_engine::observer::{Alg1Observer, EncounterTallies, Observer, RoundEvents};
+use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::Topology;
 use antdensity_stats::moments::SampleStats;
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
-use antdensity_walks::movement::MovementModel;
 
 /// Configuration/builder for an Algorithm 1 run.
 ///
@@ -84,10 +83,10 @@ impl Algorithm1 {
     pub fn run<T: Topology>(&self, topo: &T, seed: u64) -> DensityRun {
         let seq = SeedSequence::new(seed);
         let mut rng = seq.rng(0);
-        let mut arena = SyncArena::new(topo, self.num_agents);
-        arena.set_movement_all(&self.movement);
-        arena.place_uniform(&mut rng);
-        self.run_arena(&mut arena, &mut rng)
+        let mut engine = Engine::new(topo, self.num_agents);
+        engine.set_movement_all(&self.movement);
+        engine.place_uniform(&mut rng);
+        self.run_engine(&mut engine, &mut rng)
     }
 
     /// Executes on explicit starting positions (used by tests and by the
@@ -105,19 +104,19 @@ impl Algorithm1 {
     ) -> DensityRun {
         let seq = SeedSequence::new(seed);
         let mut rng = seq.rng(0);
-        let mut arena = SyncArena::new(topo, self.num_agents);
-        arena.set_movement_all(&self.movement);
-        arena.place_at(positions);
-        self.run_arena(&mut arena, &mut rng)
+        let mut engine = Engine::new(topo, self.num_agents);
+        engine.set_movement_all(&self.movement);
+        engine.place_at(positions);
+        self.run_engine(&mut engine, &mut rng)
     }
 
-    /// The synchronous round loop: the arena emits each round's
+    /// The synchronous round loop: the engine emits each round's
     /// encounter events once and the shared observer tallies accumulate
     /// them — the estimate math lives in
     /// [`antdensity_engine::observer`], not here.
-    fn run_arena<T: Topology>(
+    fn run_engine<T: Topology>(
         &self,
-        arena: &mut SyncArena<&T>,
+        engine: &mut Engine<&T>,
         rng: &mut rand::rngs::SmallRng,
     ) -> DensityRun {
         let n_agents = self.num_agents;
@@ -125,9 +124,9 @@ impl Algorithm1 {
         let mut raw = vec![0u32; n_agents];
         let mut seen = vec![0u32; n_agents];
         for round in 1..=self.rounds {
-            arena.step_round(rng);
+            engine.step_round(rng);
             for (a, slot) in raw.iter_mut().enumerate() {
-                *slot = arena.count(a);
+                *slot = engine.count(a);
             }
             match &self.noise {
                 None => seen.copy_from_slice(&raw),
@@ -144,7 +143,7 @@ impl Algorithm1 {
                 group_counts: None,
             });
         }
-        let outcome = Alg1Observer.snapshot(&tallies, arena.density());
+        let outcome = Alg1Observer.snapshot(&tallies, engine.density());
         DensityRun {
             estimates: outcome.estimates,
             collision_counts: outcome.collision_counts,

@@ -13,10 +13,9 @@
 use antdensity_engine::observer::{
     Alg1Observer, EncounterTallies, Observer, RelFreqObserver, RoundEvents,
 };
+use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::Topology;
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
-use antdensity_walks::movement::MovementModel;
 
 /// One agent's joint estimate of overall density, property density, and
 /// relative frequency.
@@ -149,13 +148,13 @@ impl FrequencyEstimation {
     pub fn run<T: Topology>(&self, topo: &T, seed: u64) -> FrequencyRun {
         let seq = SeedSequence::new(seed);
         let mut rng = seq.rng(0);
-        let mut arena = SyncArena::new(topo, self.num_agents);
-        arena.set_movement_all(&self.movement);
+        let mut engine = Engine::new(topo, self.num_agents);
+        engine.set_movement_all(&self.movement);
         for a in 0..self.num_property {
-            arena.assign_group(a, 0);
+            engine.assign_group(a, 0);
         }
-        arena.place_uniform(&mut rng);
-        // The arena emits per-round events; the dual total/property
+        engine.place_uniform(&mut rng);
+        // The engine emits per-round events; the dual total/property
         // tally and the ratio estimator live in the shared observer
         // layer ([`RelFreqObserver`]), not in this loop.
         let n = self.num_agents;
@@ -164,12 +163,12 @@ impl FrequencyEstimation {
         let mut counts = vec![0u32; n];
         let mut group_counts = vec![0u32; if track { n } else { 0 }];
         for round in 1..=self.rounds {
-            arena.step_round(&mut rng);
+            engine.step_round(&mut rng);
             for (a, slot) in counts.iter_mut().enumerate() {
-                *slot = arena.count(a);
+                *slot = engine.count(a);
             }
             for (a, slot) in group_counts.iter_mut().enumerate() {
-                *slot = arena.count_in_group(a, 0);
+                *slot = engine.count_in_group(a, 0);
             }
             tallies.record(&RoundEvents {
                 round,

@@ -16,9 +16,9 @@
 //!    its starting position ([`local_density`]), making the
 //!    local-vs-global question quantitative.
 
+use antdensity_engine::Engine;
 use antdensity_graphs::{NodeId, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
 use rand::Rng;
 use rand::RngCore;
 
@@ -223,13 +223,13 @@ pub fn run_with_placement(
         .collect();
     let seq = SeedSequence::new(seed);
     let mut rng = seq.rng(0);
-    let mut arena = SyncArena::new(torus, n);
-    arena.place_at(positions);
+    let mut engine = Engine::new(torus, n);
+    engine.place_at(positions);
     let mut counts = vec![0u64; n];
     for _ in 0..rounds {
-        arena.step_round(&mut rng);
+        engine.step_round(&mut rng);
         for (a, c) in counts.iter_mut().enumerate() {
-            *c += arena.count(a) as u64;
+            *c += engine.count(a) as u64;
         }
     }
     LocalDensityRun {

@@ -16,10 +16,10 @@
 //! work section anticipates.
 
 use antdensity_engine::observer::{EncounterTallies, Observer, RoundEvents};
+use antdensity_engine::Engine;
 use antdensity_engine::ScenarioOutcome;
 use antdensity_graphs::Topology;
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
 
 /// An agent's quorum decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,14 +101,14 @@ impl QuorumSensor {
         assert!(num_agents > 0, "need at least one agent");
         let seq = SeedSequence::new(seed);
         let mut rng = seq.rng(0);
-        let mut arena = SyncArena::new(topo, num_agents);
-        arena.place_uniform(&mut rng);
+        let mut engine = Engine::new(topo, num_agents);
+        engine.place_uniform(&mut rng);
         let mut observer = SequentialQuorum::new(*self, num_agents);
         let mut counts = vec![0u32; num_agents];
         for round in 1..=self.max_rounds {
-            arena.step_round(&mut rng);
+            engine.step_round(&mut rng);
             for (a, slot) in counts.iter_mut().enumerate() {
-                *slot = arena.count(a);
+                *slot = engine.count(a);
             }
             observer.on_round(&RoundEvents {
                 round,

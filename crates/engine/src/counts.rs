@@ -27,9 +27,11 @@
 //!
 //! Determinism still holds in the stronger engine sense: RNG streams
 //! are derived per `(seed, round, COUNT_BLOCK-sized node block)`, and
-//! parallel workers merge their contributions by exact `u64` addition —
-//! so results are bit-identical for any thread count.
+//! parallel tasks (run on the process-global [`WorkerPool`]) merge their
+//! contributions by exact `u64` addition — so results are bit-identical
+//! for any thread count.
 
+use crate::pool::WorkerPool;
 use crate::sampling::{fill_uniform_indices_lanes, lane_rngs, sample_multinomial};
 use antdensity_graphs::Topology;
 use antdensity_stats::rng::SeedSequence;
@@ -83,6 +85,19 @@ pub struct CountsEngine<T: Topology> {
     ones: Vec<f64>,
     /// Per-node split scratch, sized to the maximum degree.
     split: Vec<u64>,
+    /// Buffers of the parallel round's tasks `1..workers` (task 0
+    /// scatters straight into `next`), kept across rounds so a round
+    /// allocates nothing once they are sized.
+    task_scratch: Vec<TaskScratch>,
+}
+
+/// One parallel task's reusable round buffers: a whole-graph
+/// accumulator (a node's neighbours may sit anywhere in the index
+/// space) and its own per-node split scratch.
+#[derive(Debug, Clone, Default)]
+struct TaskScratch {
+    acc: Vec<u64>,
+    split: Vec<u64>,
 }
 
 impl<T: Topology> CountsEngine<T> {
@@ -112,6 +127,7 @@ impl<T: Topology> CountsEngine<T> {
             threads: 1,
             ones: vec![1.0; max_degree],
             split: vec![0; max_degree],
+            task_scratch: Vec::new(),
             topo,
         }
     }
@@ -124,8 +140,9 @@ impl<T: Topology> CountsEngine<T> {
         self
     }
 
-    /// Requests up to `threads` workers for the round splits. Results
-    /// are bit-identical for every value.
+    /// Requests up to `threads` workers for the round splits, run as
+    /// tasks on the process-global [`WorkerPool`]. Results are
+    /// bit-identical for every value.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -212,44 +229,44 @@ impl<T: Topology> CountsEngine<T> {
             })
             .sum()
     }
+}
 
-    /// Splits the counts of nodes `[lo, hi)` into `acc`, drawing each
-    /// [`COUNT_BLOCK`]-aligned block's stream from `round_seq`. The
-    /// range bounds must be block-aligned (except `hi` at the node
-    /// count) so the block → stream mapping is schedule-independent.
-    fn split_range(
-        &self,
-        round_seq: &SeedSequence,
-        lo: u64,
-        hi: u64,
-        acc: &mut [u64],
-        split: &mut [u64],
-        ones: &[f64],
-    ) {
-        debug_assert_eq!(lo % COUNT_BLOCK, 0, "worker ranges are block-aligned");
-        let mut v = lo;
-        while v < hi {
-            let block_end = (v + COUNT_BLOCK).min(hi);
-            let mut rng = round_seq.rng(v / COUNT_BLOCK);
-            for node in v..block_end {
-                let c = self.counts[node as usize];
-                if c == 0 {
-                    continue;
-                }
-                let d = self.topo.degree(node);
-                if d == 1 {
-                    acc[self.topo.neighbor(node, 0) as usize] += c;
-                    continue;
-                }
-                sample_multinomial(c, &ones[..d], &mut split[..d], &mut rng);
-                for (i, &k) in split[..d].iter().enumerate() {
-                    if k > 0 {
-                        acc[self.topo.neighbor(node, i) as usize] += k;
-                    }
+/// Splits the counts of nodes `[lo, hi)` into `acc`, drawing each
+/// [`COUNT_BLOCK`]-aligned block's stream from `round_seq`. The range
+/// bounds must be block-aligned (except `hi` at the node count) so the
+/// block → stream mapping is schedule-independent.
+fn split_range<T: Topology>(
+    topo: &T,
+    counts: &[u64],
+    round_seq: &SeedSequence,
+    (lo, hi): (u64, u64),
+    acc: &mut [u64],
+    split: &mut [u64],
+    ones: &[f64],
+) {
+    debug_assert_eq!(lo % COUNT_BLOCK, 0, "worker ranges are block-aligned");
+    let mut v = lo;
+    while v < hi {
+        let block_end = (v + COUNT_BLOCK).min(hi);
+        let mut rng = round_seq.rng(v / COUNT_BLOCK);
+        for node in v..block_end {
+            let c = counts[node as usize];
+            if c == 0 {
+                continue;
+            }
+            let d = topo.degree(node);
+            if d == 1 {
+                acc[topo.neighbor(node, 0) as usize] += c;
+                continue;
+            }
+            sample_multinomial(c, &ones[..d], &mut split[..d], &mut rng);
+            for (i, &k) in split[..d].iter().enumerate() {
+                if k > 0 {
+                    acc[topo.neighbor(node, i) as usize] += k;
                 }
             }
-            v = block_end;
         }
+        v = block_end;
     }
 }
 
@@ -267,47 +284,46 @@ impl<T: Topology + Sync> CountsEngine<T> {
         let round_seq = self.seeds.subsequence(self.round);
         let num_blocks = nodes.div_ceil(COUNT_BLOCK);
         let workers = self.threads.min(num_blocks as usize).max(1);
-        self.next.iter_mut().for_each(|c| *c = 0);
+        let Self {
+            topo,
+            counts,
+            next,
+            ones,
+            split,
+            task_scratch,
+            ..
+        } = self;
+        let (topo, counts, ones) = (&*topo, &counts[..], &ones[..]);
+        next.fill(0);
         if workers <= 1 {
-            // Borrow-split: the scratch buffers move out and back so
-            // `split_range` can take `&self`.
-            let mut split = std::mem::take(&mut self.split);
-            let ones = std::mem::take(&mut self.ones);
-            let mut next = std::mem::take(&mut self.next);
-            self.split_range(&round_seq, 0, nodes, &mut next, &mut split, &ones);
-            self.split = split;
-            self.ones = ones;
-            self.next = next;
+            split_range(topo, counts, &round_seq, (0, nodes), next, split, ones);
         } else {
+            // Contiguous whole-block node ranges, one per task; task 0
+            // scatters into `next`, the others into their own
+            // accumulators, merged below by exact addition.
             let blocks_per_worker = num_blocks.div_ceil(workers as u64);
-            let engine = &*self;
-            let accs: Vec<Vec<u64>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers as u64)
-                    .map(|wi| {
-                        let lo = (wi * blocks_per_worker * COUNT_BLOCK).min(nodes);
-                        let hi = ((wi + 1) * blocks_per_worker * COUNT_BLOCK).min(nodes);
-                        s.spawn(move || {
-                            let mut acc = vec![0u64; nodes as usize];
-                            let mut split = vec![0u64; engine.split.len()];
-                            engine.split_range(
-                                &round_seq,
-                                lo,
-                                hi,
-                                &mut acc,
-                                &mut split,
-                                &engine.ones,
-                            );
-                            acc
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("counts worker panicked"))
-                    .collect()
-            });
-            for acc in &accs {
-                for (slot, &k) in self.next.iter_mut().zip(acc) {
+            let range = |wi: u64| {
+                let at = |w: u64| (w * blocks_per_worker * COUNT_BLOCK).min(nodes);
+                (at(wi), at(wi + 1))
+            };
+            task_scratch.resize_with(workers - 1, TaskScratch::default);
+            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
+            let head = &mut next[..];
+            tasks.push(Box::new(move || {
+                split_range(topo, counts, &round_seq, range(0), head, split, ones);
+            }));
+            for (wi, scratch) in (1..).zip(task_scratch.iter_mut()) {
+                tasks.push(Box::new(move || {
+                    scratch.acc.clear();
+                    scratch.acc.resize(counts.len(), 0);
+                    scratch.split.resize(ones.len(), 0);
+                    let TaskScratch { acc, split } = scratch;
+                    split_range(topo, counts, &round_seq, range(wi), acc, split, ones);
+                }));
+            }
+            WorkerPool::global().run(tasks);
+            for scratch in task_scratch.iter() {
+                for (slot, &k) in next.iter_mut().zip(&scratch.acc) {
                     *slot += k;
                 }
             }
@@ -453,6 +469,31 @@ mod tests {
                 e.run(8);
                 assert_eq!(e.counts(), &reference[..], "side {side} threads {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn round_nested_in_a_pool_job_matches_one_thread() {
+        // The pool's caller-helps design lets a job submit more work: a
+        // 4-task counts round (torus 64 = 4 node blocks) submitted from
+        // inside a job must finish and match the inline round exactly,
+        // whether the outer job runs on a private 2-thread pool or on
+        // the global pool the round itself submits to.
+        fn counts_after(threads: usize) -> Vec<u64> {
+            let mut e = CountsEngine::new(Torus2d::new(64), 50_000)
+                .with_seed_sequence(SeedSequence::new(13))
+                .with_threads(threads);
+            e.place_uniform(&SeedSequence::new(4));
+            e.run(6);
+            e.counts().to_vec()
+        }
+        let reference = counts_after(1);
+        let private = WorkerPool::new(2);
+        for pool in [&private, WorkerPool::global()] {
+            let mut nested = Vec::new();
+            let slot = &mut nested;
+            pool.run(vec![Box::new(move || *slot = counts_after(4))]);
+            assert_eq!(nested, reference);
         }
     }
 

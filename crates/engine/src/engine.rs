@@ -10,9 +10,9 @@
 //!
 //! Two stepping modes:
 //!
-//! * [`Engine::step_round`] — draws from a caller-supplied RNG in the
-//!   legacy `SyncArena` order (the arena delegates here, so pre-engine
-//!   seeds reproduce bit-for-bit);
+//! * [`Engine::step_round`] — draws from a caller-supplied RNG
+//!   sequentially over agents, in the historical pre-engine order, so
+//!   pre-engine seeds reproduce bit-for-bit;
 //! * [`Engine::step_round_parallel`] — agents are partitioned into fixed
 //!   [`STREAM_BLOCK`]-sized blocks and block `b` of round `r` draws from
 //!   an RNG derived from `(seed sequence, round, block index)`. The
@@ -33,9 +33,7 @@ use crate::movement::MovementModel;
 use crate::occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
 use crate::pool::WorkerPool;
 use crate::sampling::fill_uniform_indices;
-use crate::step::{
-    step_slice, step_slice_pure_batched, step_slice_pure_batched_timed, Interaction,
-};
+use crate::step::{step_slice, step_slice_pure_batched, Interaction};
 use antdensity_graphs::{MoveScratch, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
@@ -364,11 +362,12 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// Executes one synchronous round drawing from `rng` in the legacy
-    /// `SyncArena` order (sequential over agents), then refreshes the
-    /// occupancy index. Generic over the RNG: concrete callers get the
-    /// fully monomorphized kernel, `&mut dyn RngCore` callers the same
-    /// draws through dynamic dispatch.
+    /// Executes one synchronous round drawing from `rng` sequentially
+    /// over agents (the historical pre-engine draw order, a
+    /// compatibility contract), then refreshes the occupancy index.
+    /// Generic over the RNG: concrete callers get the fully
+    /// monomorphized kernel, `&mut dyn RngCore` callers the same draws
+    /// through dynamic dispatch.
     ///
     /// # Panics
     ///
@@ -376,7 +375,9 @@ impl<T: Topology> Engine<T> {
     pub fn step_round<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         assert!(self.placed, "place agents before stepping");
         match self.pure_batch_span() {
-            Some(span) => step_slice_pure_batched(&self.topo, span, &mut self.positions, rng),
+            Some(span) => {
+                step_slice_pure_batched::<false, _, _>(&self.topo, span, &mut self.positions, rng);
+            }
             None => step_slice(
                 &self.topo,
                 &mut self.positions,
@@ -448,7 +449,7 @@ impl<T: Topology> Engine<T> {
 /// freely without touching the draw streams.
 ///
 /// With `timed` set (telemetry enabled, decided once per round) the
-/// batched fast path routes through its bit-identical timed variant;
+/// batched fast path runs its bit-identical timed instance;
 /// the returned `(draw_ns, apply_ns)` totals are zero otherwise. The
 /// non-batched kernel interleaves draws and moves per agent, so it has
 /// no phase split to report under any setting.
@@ -473,11 +474,13 @@ fn step_window<T: Topology>(
         let mut rng = round_seq.rng((first_block + j) as u64);
         match span {
             Some(s) if timed => {
-                let (d, a) = step_slice_pure_batched_timed(topo, s, block, &mut rng);
+                let (d, a) = step_slice_pure_batched::<true, _, _>(topo, s, block, &mut rng);
                 totals.0 += d;
                 totals.1 += a;
             }
-            Some(s) => step_slice_pure_batched(topo, s, block, &mut rng),
+            Some(s) => {
+                step_slice_pure_batched::<false, _, _>(topo, s, block, &mut rng);
+            }
             None => step_slice(topo, block, models, occ, interaction, &mut rng),
         }
     }
@@ -488,14 +491,8 @@ fn step_window<T: Topology>(
 /// positions window, movement window)`.
 type ChunkWork<'a> = (usize, &'a mut [u32], &'a [MovementModel]);
 
-/// `MIN_CHUNKS_PER_WORKER` of the pre-config engine, used by the
-/// [`Engine::step_round_parallel_spawn`] baseline.
-const LEGACY_MIN_CHUNKS_PER_WORKER: usize = 4;
-
-/// The machine's available parallelism, probed once. The OS query is a
-/// syscall costing ~10µs — the pre-pool engine paid it every round
-/// (kept that way in [`Engine::step_round_parallel_spawn`], which
-/// replicates the old implementation verbatim as a baseline).
+/// The machine's available parallelism, probed once: the OS query is a
+/// syscall costing ~10µs, too much to pay every round.
 fn available_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| {
@@ -517,23 +514,6 @@ impl<T: Topology + Sync> Engine<T> {
     pub fn parallel_workers(&self) -> usize {
         let num_chunks = self.positions.len().div_ceil(self.config.schedule_chunk);
         self.effective_workers(num_chunks)
-    }
-
-    /// Worker count the [`Self::step_round_parallel_spawn`] baseline
-    /// will use — the pre-pool policy, frozen with the baseline: capped
-    /// by [`STREAM_BLOCK`] chunk count over the legacy
-    /// chunks-per-worker minimum and by the machine's core count
-    /// (probed fresh, exactly as the baseline itself does each round —
-    /// the cached probe is the pool path's optimization).
-    pub fn spawn_workers(&self) -> usize {
-        let num_chunks = self.positions.len().div_ceil(STREAM_BLOCK);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.threads
-            .min(num_chunks / LEGACY_MIN_CHUNKS_PER_WORKER)
-            .min(cores)
-            .max(1)
     }
 
     fn effective_workers(&self, num_chunks: usize) -> usize {
@@ -781,64 +761,6 @@ impl<T: Topology + Sync> Engine<T> {
         }
     }
 
-    /// The engine's original parallel round: per-round `thread::scope`
-    /// spawns and the dyn-erased draw chain, kept verbatim as the
-    /// measurable baseline for the worker pool and the monomorphized
-    /// kernels (`crates/bench/benches/engine.rs`, `repro bench`).
-    /// Bit-identical results to [`Self::step_round_parallel`] — only the
-    /// wall clock differs — which the engine property tests assert.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is unplaced.
-    pub fn step_round_parallel_spawn(&mut self) {
-        assert!(self.placed, "place agents before stepping");
-        let round_seq = self.seeds.subsequence(self.round);
-        // One policy, one place: the same per-round computation (fresh
-        // parallelism probe included) the benches record as the
-        // baseline's effective worker count.
-        let workers = self.spawn_workers();
-        if workers == 1 {
-            for (ci, (chunk, models)) in self
-                .positions
-                .chunks_mut(STREAM_BLOCK)
-                .zip(self.movement.chunks(STREAM_BLOCK))
-                .enumerate()
-            {
-                let mut rng = round_seq.rng(ci as u64);
-                let rng: &mut dyn RngCore = &mut rng;
-                step_slice(&self.topo, chunk, models, &self.occ, &self.interaction, rng);
-            }
-        } else {
-            let topo = &self.topo;
-            let occ = &self.occ;
-            let interaction = self.interaction;
-            let mut per_worker: Vec<Vec<ChunkWork<'_>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (ci, (chunk, models)) in self
-                .positions
-                .chunks_mut(STREAM_BLOCK)
-                .zip(self.movement.chunks(STREAM_BLOCK))
-                .enumerate()
-            {
-                per_worker[ci % workers].push((ci, chunk, models));
-            }
-            std::thread::scope(|scope| {
-                for work in per_worker {
-                    scope.spawn(move || {
-                        for (ci, chunk, models) in work {
-                            let mut rng = round_seq.rng(ci as u64);
-                            let rng: &mut dyn RngCore = &mut rng;
-                            step_slice(topo, chunk, models, occ, &interaction, rng);
-                        }
-                    });
-                }
-            });
-        }
-        self.round += 1;
-        self.rebuild_occupancy();
-    }
-
     /// Runs `rounds` parallel rounds back to back.
     ///
     /// # Panics
@@ -1023,6 +945,109 @@ mod tests {
     }
 
     #[test]
+    fn density_uses_paper_convention() {
+        // (n+1) = 11 agents on A = 100 nodes: d = n/A = 10/100
+        let e = Engine::new(Torus2d::new(10), 11);
+        assert!((e.density() - 0.1).abs() < 1e-12);
+        assert_eq!(Engine::new(Torus2d::new(10), 1).density(), 0.0);
+    }
+
+    #[test]
+    fn stationary_agents_do_not_move() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut e = Engine::new(Torus2d::new(8), 5);
+        e.place_uniform(&mut rng);
+        e.set_movement_all(&MovementModel::Stationary);
+        let before: Vec<NodeId> = (0..5).map(|a| e.position(a)).collect();
+        for _ in 0..10 {
+            e.step_round(&mut rng);
+        }
+        assert_eq!(before, (0..5).map(|a| e.position(a)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn mixed_movement_models() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut e = Engine::new(Torus2d::new(8), 3);
+        e.place_uniform(&mut rng);
+        e.set_movement(0, MovementModel::Stationary);
+        e.set_movement(1, MovementModel::Drift { move_index: 2 });
+        let (p0, p1) = (e.position(0), e.position(1));
+        e.step_round(&mut rng);
+        assert_eq!(e.position(0), p0);
+        assert_eq!(e.position(1), e.topology().offset(p1, 0, 1));
+    }
+
+    #[test]
+    fn place_at_and_adversarial_stack() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut e = Engine::new(Torus2d::new(4), 4);
+        e.place_at(&[5, 5, 5, 2]);
+        assert_eq!(e.count(0), 2);
+        assert_eq!(e.count(3), 0);
+        assert_eq!(e.occupancy(5), 3);
+        assert_eq!(e.occupied_nodes(), 2);
+        e.step_round(&mut rng);
+        assert_eq!(e.round(), 1);
+    }
+
+    #[test]
+    fn uniform_placement_covers_nodes() {
+        // 4000 agents on 16 nodes: each node holds ~250
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut e = Engine::new(CompleteGraph::new(16), 4000);
+        e.place_uniform(&mut rng);
+        for v in 0..16 {
+            let occ = e.occupancy(v);
+            assert!(
+                (occ as f64 - 250.0).abs() < 100.0,
+                "node {v} occupancy {occ}"
+            );
+        }
+    }
+
+    /// Encounters summed over 600 rounds at moderate density
+    /// (d = 0.125), the regime where both Section 6.1 variants have
+    /// their documented sign (near d = 0.5 the flee effect can invert).
+    fn encounter_total(avoid: Option<f64>, flee: bool, seed: u64) -> u64 {
+        let agents = 32;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut e = Engine::new(Torus2d::new(16), agents);
+        e.set_avoidance(avoid);
+        e.set_flee(flee);
+        e.place_uniform(&mut rng);
+        let mut total = 0u64;
+        for _ in 0..600 {
+            e.step_round(&mut rng);
+            total += (0..agents).map(|a| e.count(a) as u64).sum::<u64>();
+        }
+        total
+    }
+
+    #[test]
+    fn cell_avoidance_raises_encounters_by_stickiness() {
+        // Freezing in front of occupied cells glues colliding pairs
+        // together, so measured encounters EXCEED the pure model's.
+        let pure: u64 = (0..5).map(|s| encounter_total(None, false, s)).sum();
+        let avoidant: u64 = (0..5).map(|s| encounter_total(Some(1.0), false, s)).sum();
+        assert!(
+            avoidant > pure,
+            "freeze-avoidance must raise encounters: {avoidant} vs {pure}"
+        );
+    }
+
+    #[test]
+    fn flee_lowers_encounter_rate() {
+        // Post-encounter dispersal suppresses repeat collisions.
+        let pure: u64 = (0..5).map(|s| encounter_total(None, false, s)).sum();
+        let fleeing: u64 = (0..5).map(|s| encounter_total(None, true, s)).sum();
+        assert!(
+            fleeing < pure,
+            "flee must lower encounters: {fleeing} vs {pure}"
+        );
+    }
+
+    #[test]
     fn agent_positions_iterates_all() {
         let mut e = Engine::new(Torus2d::new(4), 3);
         e.place_at(&[1, 5, 5]);
@@ -1053,6 +1078,25 @@ mod tests {
     fn unplaced_parallel_step_panics() {
         let mut e = Engine::new(Torus2d::new(4), 2);
         e.step_round_parallel();
+    }
+
+    #[test]
+    #[should_panic(expected = "place agents")]
+    fn unplaced_sequential_step_panics() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        Engine::new(Torus2d::new(4), 2).step_round(&mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "avoidance probability")]
+    fn avoidance_probability_validated() {
+        Engine::new(Torus2d::new(4), 2).set_avoidance(Some(1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn place_at_validates_positions() {
+        Engine::new(Torus2d::new(2), 1).place_at(&[100]);
     }
 
     #[test]

@@ -13,19 +13,20 @@
 //!   Appendix A variants (lazy, biased, stationary, drift).
 //! * [`step`] — the round kernels, generic over topology *and* RNG so
 //!   concrete call sites monomorphize with zero per-draw virtual
-//!   dispatch. One code path serves the legacy sequential draw order
-//!   (`antdensity_walks::arena::SyncArena` delegates its inner loop
-//!   here); a batched pure-walk kernel bulk-samples move indices
-//!   chunk-at-a-time while drawing the identical RNG stream.
-//! * [`engine`] — [`Engine`]: struct-of-arrays agent state with
-//!   deterministic parallel stepping. RNG streams are derived per
+//!   dispatch. One code path serves the historical sequential draw
+//!   order of [`Engine::step_round`]; a batched pure-walk kernel
+//!   bulk-samples move indices chunk-at-a-time while drawing the
+//!   identical RNG stream.
+//! * [`engine`] — [`Engine`]: the one stepping API — struct-of-arrays
+//!   agent state, the paper's `count(position)` sensing, property
+//!   groups, and deterministic parallel stepping. RNG streams are derived per
 //!   `(seed, round, STREAM_BLOCK-sized block)` via
 //!   [`antdensity_stats::rng::SeedSequence`], so results are
 //!   bit-identical for any worker count or scheduling — the same
 //!   contract as `antdensity_walks::parallel::run_trials`.
-//! * [`pool`] — [`WorkerPool`]: persistent worker threads that parallel
-//!   stepping and trial fan-out dispatch onto, replacing per-round
-//!   `thread::scope` spawns. One process-global pool by default.
+//! * [`pool`] — [`WorkerPool`]: the one executor — persistent worker
+//!   threads that parallel stepping, count-based rounds, and trial
+//!   fan-out dispatch onto. One process-global pool by default.
 //! * [`config`] — [`EngineConfig`]: wall-clock scheduling knobs
 //!   (schedule chunk size, inline threshold), decoupled from the
 //!   [`STREAM_BLOCK`] determinism granularity so tuning never changes

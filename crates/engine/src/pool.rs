@@ -29,9 +29,10 @@
 //!   worker happens to run a job.
 //!
 //! One process-wide pool ([`WorkerPool::global`]) serves
-//! `Engine::step_round_parallel` and
+//! `Engine::step_round_parallel`, `CountsEngine::step_round`, and
 //! `antdensity_walks::parallel::run_trials` by default; tests and
-//! embedders can build private pools with explicit sizes.
+//! embedders can build private pools with explicit sizes. It is the
+//! only place in this crate that starts threads.
 
 use antdensity_telemetry as telemetry;
 use std::collections::VecDeque;
@@ -173,7 +174,8 @@ impl WorkerPool {
 
     /// The process-wide default pool, sized to the machine's available
     /// parallelism and created on first use. `Engine` and `run_trials`
-    /// dispatch here unless given an explicit pool.
+    /// dispatch here unless given an explicit pool; `CountsEngine`
+    /// always does.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {

@@ -4,8 +4,8 @@
 //!
 //! 1. **Pool-based parallel stepping is bit-identical to the inline
 //!    chunked loop** — for torus, ring, hypercube, and complete
-//!    topologies, across 1/2/4/8 workers, explicit pools, the spawn
-//!    baseline, and every valid [`EngineConfig`].
+//!    topologies, across 1/2/4/8 workers, explicit pools, and every
+//!    valid [`EngineConfig`].
 //! 2. **The monomorphized kernels reproduce the legacy `dyn` draw
 //!    order** — an explicit replica of the pre-monomorphization kernel
 //!    (per-agent dyn-dispatched `gen_range` draws, the historical
@@ -342,38 +342,6 @@ proptest! {
             false,
         );
         prop_assert_eq!(reference, tuned);
-    }
-
-    #[test]
-    fn pool_matches_per_round_spawn_baseline(
-        agents in 1usize..3000,
-        rounds in 1u64..5,
-        master in any::<u64>(),
-    ) {
-        let mut pooled = Engine::new(Torus2d::new(64), agents)
-            .with_seed_sequence(SeedSequence::new(master))
-            .with_threads(4)
-            .with_worker_pool(Arc::new(WorkerPool::new(4)))
-            .with_config(EngineConfig {
-                schedule_chunk: STREAM_BLOCK,
-                min_chunks_per_worker: 1,
-                inline_step_threshold: 0,
-                blocked_round_threshold: usize::MAX,
-            });
-        let mut spawned = Engine::new(Torus2d::new(64), agents)
-            .with_seed_sequence(SeedSequence::new(master))
-            .with_threads(4);
-        let mut rng = SmallRng::seed_from_u64(master ^ 3);
-        pooled.place_uniform(&mut rng);
-        let mut rng = SmallRng::seed_from_u64(master ^ 3);
-        spawned.place_uniform(&mut rng);
-        for _ in 0..rounds {
-            pooled.step_round_parallel();
-            spawned.step_round_parallel_spawn();
-        }
-        for a in 0..agents {
-            prop_assert_eq!(pooled.position(a), spawned.position(a));
-        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! | `SHUTDOWN`  | coord → worker | —                     |
 
 use antdensity_stats::rng::splitmix64;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Message kind, used by the fault filter to address "the m-th RESULT"
 /// and friends.
@@ -366,9 +366,18 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<Msg>, String> {
         ),
         _ => return Err(format!("bad frame prefix `{}`", prefix.trim_end())),
     };
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)
+    // The declared length is untrusted: read through `take` so the body
+    // buffer grows only with bytes actually received, then check it.
+    let mut body = Vec::new();
+    r.take(len as u64)
+        .read_to_end(&mut body)
         .map_err(|e| format!("truncated frame body: {e}"))?;
+    if body.len() != len {
+        return Err(format!(
+            "truncated frame body: {} of {len} declared bytes",
+            body.len()
+        ));
+    }
     if checksum(&body) != declared {
         return Err(format!(
             "frame checksum mismatch (declared {declared:016x}, computed {:016x})",
@@ -459,6 +468,17 @@ mod tests {
         let cut = &frame[..frame.len() - 3];
         let err = read_frame(&mut BufReader::new(cut)).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn oversized_declared_length_is_truncation_not_allocation() {
+        // Lengths that overflow or exhaust an up-front allocation must
+        // read only what arrives and fail as an ordinary truncation.
+        for prefix in ["frame 18446744073709551615 0\n", "frame 1099511627776 0\n"] {
+            let stream = format!("{prefix}short body");
+            let err = read_frame(&mut BufReader::new(stream.as_bytes())).unwrap_err();
+            assert!(err.starts_with("truncated frame body"), "{prefix}: {err}");
+        }
     }
 
     #[test]

@@ -497,8 +497,16 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns an error if quick filtering empties the rounds axis.
+    /// Returns an error if a topology has fewer than 2 nodes (the
+    /// density `d = (agents − 1)/A` of its ≥ 3 agents would exceed 1,
+    /// outside the model) or if quick filtering empties the rounds axis.
     pub fn resolve(&self, quick: bool) -> Result<ResolvedSweep, String> {
+        if let Some(tiny) = self.topologies.iter().find(|t| t.num_nodes() < 2) {
+            return Err(format!(
+                "topology `{tiny}` has {} node(s); the model needs at least 2",
+                tiny.num_nodes()
+            ));
+        }
         let trials = if quick {
             self.quick_trials
                 .unwrap_or_else(|| (self.trials / 4).max(1))
@@ -958,6 +966,19 @@ mod tests {
             EstimatorSpec::RelativeFrequency { property_agents } => assert_eq!(property_agents, 13),
             ref other => panic!("unexpected estimator {other:?}"),
         }
+    }
+
+    #[test]
+    fn resolve_rejects_topologies_below_two_nodes() {
+        for token in ["complete:1", "ring:1", "torus2d:1"] {
+            let text =
+                format!("name = x\ntrials = 2\ntopology = {token}\ndensity = 0.1\nrounds = 4");
+            let spec = SweepSpec::parse(&text).unwrap();
+            let err = spec.resolve(false).unwrap_err();
+            assert!(err.contains("at least 2"), "{token}: {err}");
+        }
+        let two = "name = x\ntrials = 2\ntopology = complete:2\ndensity = 0.5\nrounds = 4";
+        assert!(SweepSpec::parse(two).unwrap().resolve(false).is_ok());
     }
 
     #[test]

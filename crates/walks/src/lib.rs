@@ -1,7 +1,7 @@
-//! The paper's computational model as an executable simulation engine.
+//! Walk-level statistics for the paper's computational model.
 //!
 //! Section 2 of *Ant-Inspired Density Estimation via Random Walks*
-//! (Musco, Su, Lynch) defines the model this crate implements exactly:
+//! (Musco, Su, Lynch) defines the model:
 //!
 //! * a set of anonymous agents on a graph topology,
 //! * discrete synchronous rounds; in each round every agent either stays
@@ -10,20 +10,17 @@
 //!   number of *other* agents on its node — and nothing else,
 //! * agents start at independent uniformly random nodes.
 //!
-//! Components:
+//! The multi-agent world itself — per-round occupancy, `count(position)`,
+//! property groups, and the Section 6.1 avoidance/flee variants — is
+//! `antdensity_engine::Engine`. This crate holds what the paper's
+//! lemmas reason about at the level of one or two walks:
 //!
 //! * [`movement`] — movement models: the paper's pure random walk, plus
 //!   the extensions it sketches (lazy walks, biased/perturbed step
 //!   distributions from Section 6.1, the deterministic drift used by the
-//!   independent-sampling Algorithm 4, and stationary agents). Since the
-//!   engine rewrite this module lives in `antdensity_engine` and is
-//!   re-exported here under its historical path.
-//! * [`arena`] — [`arena::SyncArena`]: the synchronous multi-agent world
-//!   with per-round occupancy and `count(position)`, including property
-//!   groups for the Section 5.2 frequency-estimation application. The
-//!   inner loop delegates to `antdensity_engine::Engine`'s dense
-//!   touched-list occupancy buffers while preserving the historical RNG
-//!   draw order bit-for-bit.
+//!   independent-sampling Algorithm 4, and stationary agents). The
+//!   module lives in `antdensity_engine` and is re-exported here under
+//!   its historical path.
 //! * [`pairwise`] — two-agent and single-agent Monte-Carlo statistics
 //!   (re-collisions, equalizations, visits, range) matching the paper's
 //!   core lemmas; cross-validated against the exact distributions in
@@ -31,39 +28,31 @@
 //! * [`trajectory`] — full-path recording, used where the paper
 //!   conditions on an agent's walk `W` (Lemmas 4 and 11).
 //! * [`parallel`] — deterministic fan-out of independent trials over
-//!   threads (results are independent of thread count).
-//! * [`asynchronous`] — the Section 6.1 asynchronous-movement variant:
-//!   one random agent activates per tick (Poisson-clock approximation);
-//!   encounter-rate estimation remains unbiased.
+//!   the engine's worker pool (results are independent of thread count).
 //!
 //! # Example
 //!
 //! ```
 //! use antdensity_graphs::Torus2d;
-//! use antdensity_walks::arena::SyncArena;
-//! use rand::SeedableRng;
+//! use antdensity_stats::rng::SeedSequence;
+//! use antdensity_walks::{pairwise, parallel};
 //! use rand::rngs::SmallRng;
 //!
-//! let mut rng = SmallRng::seed_from_u64(7);
-//! let mut arena = SyncArena::new(Torus2d::new(32), 64);
-//! arena.place_uniform(&mut rng);
-//! arena.step_round(&mut rng);
-//! let collisions: u32 = (0..64).map(|a| arena.count(a)).sum();
-//! // every collision is counted by both parties
-//! assert_eq!(collisions % 2, 0);
+//! // Collision counts of two walks over 64 rounds, 32 trials: the
+//! // per-trial streams make the result independent of the thread count.
+//! let torus = Torus2d::new(32);
+//! let seq = SeedSequence::new(7);
+//! let count = |_: u64, rng: &mut SmallRng| pairwise::pair_collision_count(&torus, 64, rng);
+//! assert_eq!(parallel::run_trials(32, 1, seq, count), parallel::run_trials(32, 4, seq, count));
 //! ```
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod arena;
-pub mod asynchronous;
 pub use antdensity_engine::movement;
 pub mod pairwise;
 pub mod parallel;
 pub mod trajectory;
 
-pub use arena::SyncArena;
-pub use asynchronous::AsyncArena;
 pub use movement::MovementModel;
 pub use trajectory::Trajectory;

@@ -1,29 +1,29 @@
-//! Engine/arena equivalence and parallel-determinism properties.
+//! Engine/reference equivalence and parallel-determinism properties.
 //!
-//! The engine rewrite replaced `SyncArena`'s per-round `HashMap` occupancy
-//! rebuilds with dense touched-list buffers while promising to preserve
-//! the historical RNG draw order bit-for-bit. These tests hold it to that:
+//! The engine rewrite replaced the original arena's per-round `HashMap`
+//! occupancy rebuilds with dense touched-list buffers while promising to
+//! preserve the historical RNG draw order bit-for-bit. These tests hold
+//! it to that:
 //!
 //! * a **reference stepper** — a verbatim replica of the pre-engine
-//!   `SyncArena::step_round` (HashMap occupancy, same draw order) — must
-//!   produce identical trajectories and occupancy counts as both the
-//!   rewired `SyncArena` and a raw `Engine`, for the same seed, across
-//!   torus / ring / hypercube / complete topologies and across the
-//!   avoidance/flee variants;
+//!   arena's `step_round` (HashMap occupancy, same draw order) — must
+//!   produce identical trajectories and occupancy counts as
+//!   `Engine::step_round`, for the same seed, across torus / ring /
+//!   hypercube / complete topologies and across the avoidance/flee
+//!   variants;
 //! * the engine's chunked parallel stepping must be bit-identical for
 //!   1 vs N worker threads.
 
 use antdensity_engine::Engine;
 use antdensity_graphs::{CompleteGraph, Hypercube, NodeId, Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
 use antdensity_walks::movement::MovementModel;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 
-/// The pre-engine `SyncArena` inner loop, kept verbatim as ground truth.
+/// The pre-engine arena's inner loop, kept verbatim as ground truth.
 struct ReferenceArena<T: Topology> {
     topo: T,
     positions: Vec<NodeId>,
@@ -86,7 +86,7 @@ impl<T: Topology> ReferenceArena<T> {
     }
 }
 
-/// Steps reference, arena, and engine in lockstep from identical seeds and
+/// Steps reference and engine in lockstep from identical seeds and
 /// asserts identical trajectories and occupancy every round.
 fn assert_equivalent<T: Topology + Clone>(
     topo: T,
@@ -102,35 +102,22 @@ fn assert_equivalent<T: Topology + Clone>(
     reference.avoidance = avoidance;
     reference.flee = flee;
 
-    let mut arena = SyncArena::new(topo.clone(), agents);
-    arena.set_movement_all(&movement);
-    arena.set_avoidance(avoidance);
-    arena.set_flee(flee);
-
     let mut engine = Engine::new(topo.clone(), agents);
     engine.set_movement_all(&movement);
     engine.set_avoidance(avoidance);
     engine.set_flee(flee);
 
     let mut rng_ref = SmallRng::seed_from_u64(seed);
-    let mut rng_arena = SmallRng::seed_from_u64(seed);
     let mut rng_engine = SmallRng::seed_from_u64(seed);
     reference.place_uniform(&mut rng_ref);
-    arena.place_uniform(&mut rng_arena);
     engine.place_uniform(&mut rng_engine);
 
     for round in 0..=rounds {
         if round > 0 {
             reference.step_round(&mut rng_ref);
-            arena.step_round(&mut rng_arena);
             engine.step_round(&mut rng_engine);
         }
         for a in 0..agents {
-            assert_eq!(
-                reference.positions[a],
-                arena.position(a),
-                "arena diverged from reference at round {round}, agent {a}"
-            );
             assert_eq!(
                 reference.positions[a],
                 engine.position(a),
@@ -139,7 +126,6 @@ fn assert_equivalent<T: Topology + Clone>(
         }
         for v in 0..topo.num_nodes() {
             let expected = reference.occupancy.get(&v).copied().unwrap_or(0);
-            assert_eq!(expected, arena.occupancy(v), "arena occupancy at node {v}");
             assert_eq!(
                 expected,
                 engine.occupancy(v),
@@ -147,7 +133,6 @@ fn assert_equivalent<T: Topology + Clone>(
             );
         }
         let distinct = reference.occupancy.len();
-        assert_eq!(distinct, arena.occupied_nodes());
         assert_eq!(distinct, engine.occupied_nodes());
     }
 }

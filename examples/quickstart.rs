@@ -9,9 +9,9 @@
 
 use antdensity::core::algorithm1::Algorithm1;
 use antdensity::core::theory::TopologyClass;
+use antdensity::engine::Engine;
 use antdensity::graphs::{Topology, Torus2d};
 use antdensity::stats::table::{format_sig, Table};
-use antdensity::walks::arena::SyncArena;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -20,14 +20,14 @@ fn main() {
     println!("A 8x8 torus with 6 ants (the paper's Figure 1 scenario):\n");
     let small = Torus2d::new(8);
     let mut rng = SmallRng::seed_from_u64(3);
-    let mut arena = SyncArena::new(small, 6);
-    arena.place_uniform(&mut rng);
+    let mut engine = Engine::new(small, 6);
+    engine.place_uniform(&mut rng);
     for round in 0..3 {
         println!("after round {round}:");
-        draw(&arena, small);
-        let collisions: u32 = (0..6).map(|a| arena.count(a)).sum();
+        draw(&engine, small);
+        let collisions: u32 = (0..6).map(|a| engine.count(a)).sum();
         println!("  total collision sightings this round: {collisions}\n");
-        arena.step_round(&mut rng);
+        engine.step_round(&mut rng);
     }
 
     // ----- Algorithm 1 at realistic scale ---------------------------
@@ -61,12 +61,12 @@ fn main() {
     println!("sqrt(1/t)*log t, exactly as Theorem 1 predicts.");
 }
 
-/// Draws the arena as an ASCII grid (digits = number of ants on a square).
-fn draw<T: Topology>(arena: &SyncArena<T>, torus: Torus2d) {
+/// Draws the world as an ASCII grid (digits = number of ants on a square).
+fn draw<T: Topology>(engine: &Engine<T>, torus: Torus2d) {
     for y in (0..torus.side()).rev() {
         print!("  ");
         for x in 0..torus.side() {
-            let occ = arena.occupancy(torus.node(x, y));
+            let occ = engine.occupancy(torus.node(x, y));
             if occ == 0 {
                 print!(" .");
             } else {

@@ -11,8 +11,8 @@
 //! |---|---|
 //! | [`stats`] | moments, quantiles, concentration bounds, regression |
 //! | [`graphs`] | tori, rings, hypercubes, expanders, CSR graphs, exact walk distributions |
-//! | [`engine`] | batched deterministic parallel simulation engine: dense occupancy, chunked stepping, scenario specs |
-//! | [`walks`] | the paper's synchronous multi-agent simulation model |
+//! | [`engine`] | the paper's synchronous multi-agent model (`Engine`, the one stepping API): dense occupancy, deterministic parallel stepping, scenario specs |
+//! | [`walks`] | walk-level statistics: trajectories, pairwise re-collisions, trial fan-out |
 //! | [`core`] | Algorithm 1 (random-walk density estimation), Algorithm 4, theory |
 //! | [`netsize`] | Section 5.1: network-size estimation via colliding walks |
 //! | [`swarm`] | Sections 5.2/6.3: robot swarms and sensor-network sampling |
