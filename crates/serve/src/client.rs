@@ -47,6 +47,11 @@ impl Client {
     /// mismatch.
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Requests are one write each (see `send`), so Nagle would only
+        // hold a submit behind the daemon's delayed ACK.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("nodelay: {e}"))?;
         let writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
         let mut client = Client {
             reader: BufReader::new(stream),
@@ -61,15 +66,16 @@ impl Client {
         }
     }
 
-    /// Sends one request line.
+    /// Sends one request line, newline included, in a single write.
     ///
     /// # Errors
     ///
     /// Socket write failures.
     pub fn send(&mut self, req: &Request) -> Result<(), String> {
+        let mut line = req.to_line();
+        line.push('\n');
         self.writer
-            .write_all(req.to_line().as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
+            .write_all(line.as_bytes())
             .map_err(|e| format!("send: {e}"))
     }
 
@@ -231,5 +237,21 @@ impl Client {
     /// Socket write failures.
     pub fn cancel(&mut self, job: u64) -> Result<(), String> {
         self.send(&Request::Cancel { job })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::{ServeConfig, Server};
+
+    #[test]
+    fn connect_disables_nagle() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        client.shutdown().unwrap();
+        server.wait();
     }
 }

@@ -112,8 +112,10 @@ impl JobState {
 /// Registry entry for one admitted job.
 #[derive(Debug)]
 struct JobEntry {
-    job: SweepJob,
-    validated: ValidatedJob,
+    /// The request and its resolved plan, until `execute` takes them
+    /// (or `cancel` drops them): a finished entry keeps only the small
+    /// state below, so the registry does not grow by a spec per job.
+    payload: Option<(SweepJob, ValidatedJob)>,
     state: JobState,
     /// Polled by the runner between shards; set by `cancel`.
     cancel: Arc<AtomicBool>,
@@ -318,18 +320,18 @@ fn acceptor_loop(state: &Arc<ServerState>, listener: &TcpListener) {
 }
 
 fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
+    // Each event line is one write; without this, Nagle holds a line's
+    // tail behind the peer's delayed ACK of the previous segment.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let (tx, rx) = mpsc::channel::<String>();
     let writer = thread::spawn(move || {
         let mut out = write_half;
-        for line in rx {
-            if out
-                .write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .is_err()
-            {
+        for mut line in rx {
+            line.push('\n');
+            if out.write_all(line.as_bytes()).is_err() {
                 break;
             }
         }
@@ -417,8 +419,7 @@ fn submit(state: &Arc<ServerState>, sub: &Submit, tx: &mpsc::Sender<String>) {
     reg.jobs.insert(
         id,
         JobEntry {
-            job: sub.job.clone(),
-            validated,
+            payload: Some((sub.job.clone(), validated)),
             state: JobState::Queued,
             cancel: Arc::new(AtomicBool::new(false)),
             rows: 0,
@@ -470,6 +471,7 @@ fn cancel(state: &Arc<ServerState>, id: u64) -> Event {
     match entry.state {
         JobState::Queued => {
             entry.state = JobState::Cancelled;
+            entry.payload = None;
             entry.outbox = None;
             let rows = entry.rows;
             reg.queue.retain(|&q| q != id);
@@ -550,27 +552,25 @@ fn executor_loop(state: &Arc<ServerState>) {
 }
 
 /// Runs one admitted job to a terminal state, streaming rows through
-/// its outbox.
+/// its outbox. The registry lock is only held to move the entry between
+/// states; the run itself and building the terminal event happen
+/// outside it.
 fn execute(state: &Arc<ServerState>, id: u64) {
-    let (job, validated, cancel, outbox) = {
+    let ((job, validated), cancel, outbox) = {
         let mut reg = state.inner.lock().expect("serve registry poisoned");
         let Some(entry) = reg.jobs.get_mut(&id) else {
             return;
         };
-        // Cancelled-while-queued jobs are pulled off the queue by
-        // `cancel`, but a pop can race the retain; skip defensively.
-        if entry.state != JobState::Queued {
+        // Only a queued entry still holds its payload. Cancelled-while-
+        // queued jobs are pulled off the queue by `cancel`, which drops
+        // it, but a pop can race the retain; skip defensively.
+        let Some(payload) = entry.payload.take() else {
             return;
-        }
+        };
         entry.state = JobState::Running;
+        let claimed = (payload, Arc::clone(&entry.cancel), entry.outbox.clone());
         reg.running += 1;
-        let e = reg.jobs.get(&id).expect("entry just touched");
-        (
-            e.job.clone(),
-            e.validated.clone(),
-            Arc::clone(&e.cancel),
-            e.outbox.clone(),
-        )
+        claimed
     };
     let send = |ev: Event| {
         if let Some(tx) = &outbox {
@@ -580,6 +580,7 @@ fn execute(state: &Arc<ServerState>, id: u64) {
 
     let mut span = JOB_SPAN.start();
     span.arg("shards", validated.resolved.fused.len() as f64);
+    let mut rows = 0u64;
     let mut on_shard = |resolved: &antdensity_sweep::spec::ResolvedSweep,
                         _shard: usize,
                         cells: &[(usize, antdensity_sweep::CellAggregate)]|
@@ -588,6 +589,7 @@ fn execute(state: &Arc<ServerState>, id: u64) {
             send(Event::row(id, &build_row(resolved, *cell_idx, agg)));
         }
         ROWS_STREAMED.add(cells.len() as u64);
+        rows += cells.len() as u64;
         {
             let mut reg = state.inner.lock().expect("serve registry poisoned");
             if let Some(e) = reg.jobs.get_mut(&id) {
@@ -622,37 +624,76 @@ fn execute(state: &Arc<ServerState>, id: u64) {
     };
     drop(span);
 
-    let mut reg = state.inner.lock().expect("serve registry poisoned");
-    reg.running -= 1;
-    let Some(entry) = reg.jobs.get_mut(&id) else {
-        return;
-    };
-    match result {
-        Err(reason) => {
-            entry.state = JobState::Failed;
-            JOBS_FAILED.incr();
-            send(Event::Failed { job: id, reason });
-        }
+    let (terminal, counter, event) = match result {
+        Err(reason) => (
+            JobState::Failed,
+            &JOBS_FAILED,
+            Event::Failed { job: id, reason },
+        ),
+        Ok(outcome) if !outcome.complete && cancel.load(Ordering::SeqCst) => (
+            JobState::Cancelled,
+            &JOBS_CANCELLED,
+            Event::Cancelled { job: id, rows },
+        ),
         Ok(outcome) => {
-            if !outcome.complete && cancel.load(Ordering::SeqCst) {
-                entry.state = JobState::Cancelled;
-                JOBS_CANCELLED.incr();
-                send(Event::Cancelled {
-                    job: id,
-                    rows: entry.rows,
-                });
-            } else {
-                entry.state = JobState::Done;
-                JOBS_COMPLETED.incr();
-                let report = build_report(&outcome);
-                send(Event::Done {
+            let report = build_report(&outcome);
+            (
+                JobState::Done,
+                &JOBS_COMPLETED,
+                Event::Done {
                     job: id,
                     complete: outcome.complete,
                     report_json: report.to_json(),
                     report_csv: report.to_csv(),
-                });
-            }
+                },
+            )
         }
+    };
+    // Publish the state before the event goes out, so a client that
+    // has read the terminal event and then asks for `status` sees it.
+    {
+        let mut reg = state.inner.lock().expect("serve registry poisoned");
+        reg.running -= 1;
+        if let Some(entry) = reg.jobs.get_mut(&id) {
+            entry.state = terminal;
+            entry.outbox = None;
+        }
+        counter.incr();
     }
-    entry.outbox = None;
+    send(event);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn finished_job_keeps_only_its_counts() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+        let mut job = SweepJob::new(
+            "name = registry\nseed = 7\ntrials = 1\ntopology = torus2d:8, complete:16\n\
+             density = 0.2\nrounds = 4\nestimator = alg1\n",
+        );
+        job.quick = true;
+        let results = client.run_batch(vec![Submit { job, label: None }]).unwrap();
+        let id = results[0].job;
+        assert_eq!(results[0].state, "done");
+        assert!(server.state.inner.lock().unwrap().jobs[&id]
+            .payload
+            .is_none());
+        assert_eq!(
+            status(&server.state, id),
+            Event::Status {
+                job: id,
+                state: "done".to_string(),
+                rows: results[0].rows.len() as u64,
+                shards_done: 2,
+                shards: 2,
+            }
+        );
+        client.shutdown().unwrap();
+        server.wait();
+    }
 }

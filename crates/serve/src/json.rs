@@ -324,12 +324,17 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&c) if c < 0x20 => return Err("raw control byte in string".to_string()),
             Some(_) => {
-                // Copy one UTF-8 scalar (input is &str, so boundaries
-                // are valid).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote, backslash, or
+                // control byte in one go. Those are all ASCII, so the run
+                // ends on a UTF-8 boundary of the `&str` input; scanning
+                // per run keeps string parsing linear in its length.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .map_or(bytes.len(), |n| *pos + n);
+                let s = std::str::from_utf8(&bytes[*pos..run]).map_err(|e| e.to_string())?;
+                out.push_str(s);
+                *pos = run;
             }
         }
     }
@@ -351,6 +356,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_every_value_kind() {
@@ -438,5 +444,86 @@ mod tests {
                 "accepted truncation at {cut}"
             );
         }
+    }
+
+    /// One scalar from a pool chosen by `kind`: ASCII, 2-, 3- and 4-byte
+    /// UTF-8, the characters the encoder escapes by name, and the other
+    /// control characters.
+    fn scalar(kind: u8, code: u32) -> char {
+        let pick = |lo: u32, hi: u32| char::from_u32(lo + code % (hi - lo)).unwrap();
+        match kind {
+            0 => pick(0x20, 0x7f),
+            1 => pick(0x80, 0x800),
+            2 => pick(0xE000, 0x10000),
+            3 => pick(0x10000, 0x110000),
+            4 => ['"', '\\', '/', '\n', '\r', '\t'][code as usize % 6],
+            _ => pick(0, 0x20),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Encoding any string and parsing it back is the identity,
+        /// whether the escapes sit inside, before, or after a raw run.
+        #[test]
+        fn any_string_round_trips(chars in prop::collection::vec((0u8..6, any::<u32>()), 0..48)) {
+            let s: String = chars.iter().map(|&(k, c)| scalar(k, c)).collect();
+            let text = Json::str(s.clone()).encode();
+            prop_assert_eq!(Json::parse(&text), Ok(Json::Str(s)));
+        }
+
+        /// The parser also takes every escape the encoder never writes:
+        /// `\/`, `\b`, `\f`, and `\uXXXX` for any scalar (surrogate
+        /// pairs above U+FFFF).
+        #[test]
+        fn any_escape_spelling_parses(
+            chars in prop::collection::vec((0u8..6, any::<u32>(), prop::bool::ANY), 0..48),
+        ) {
+            let mut text = String::from("\"");
+            let mut want = String::new();
+            for &(kind, code, as_unicode) in &chars {
+                let c = scalar(kind, code);
+                want.push(c);
+                if as_unicode {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        text.push_str(&format!("\\u{unit:04X}"));
+                    }
+                } else {
+                    match c {
+                        '/' => text.push_str("\\/"),
+                        '\u{8}' => text.push_str("\\b"),
+                        '\u{c}' => text.push_str("\\f"),
+                        c => {
+                            let quoted = Json::str(c.to_string()).encode();
+                            text.push_str(&quoted[1..quoted.len() - 1]);
+                        }
+                    }
+                }
+            }
+            text.push('"');
+            prop_assert_eq!(Json::parse(&text), Ok(Json::Str(want)));
+        }
+    }
+
+    /// String parsing is linear: a 4 MB literal of mixed ASCII,
+    /// multi-byte UTF-8 and escapes parses well inside a wall bound
+    /// even unoptimized (a per-character rescan of the rest of the
+    /// input would take minutes here).
+    #[test]
+    fn four_megabyte_string_parses_in_linear_time() {
+        let chunk = "density \u{e9}\u{1F41C} \"q\"\\\n";
+        let s = chunk.repeat((4 << 20) / chunk.len());
+        let text = Json::str(s.clone()).encode();
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&text);
+        let elapsed = t0.elapsed();
+        assert_eq!(parsed, Ok(Json::Str(s)));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
     }
 }
