@@ -206,8 +206,11 @@ impl Store {
 
     /// Atomic write: the entry is rendered into a unique temporary
     /// file and renamed over the final name. Concurrent writers of one
-    /// key race benignly (both wrote identical bytes). Returns the
-    /// entry's on-disk size.
+    /// key race benignly (both wrote identical bytes). The entry is not
+    /// fsynced: one torn by a crash fails [`Store::get`]'s length and
+    /// checksum checks as [`Lookup::Corrupt`] and the caller
+    /// recomputes, so a disk flush per put would buy nothing. Returns
+    /// the entry's on-disk size.
     ///
     /// # Errors
     ///
@@ -223,7 +226,6 @@ impl Store {
         let write = (|| -> std::io::Result<()> {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(text.as_bytes())?;
-            f.sync_all()?;
             std::fs::rename(&tmp, &path)
         })();
         if let Err(e) = write {

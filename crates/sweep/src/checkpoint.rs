@@ -30,6 +30,7 @@ use antdensity_stats::histogram::Histogram;
 use antdensity_stats::moments::StreamingMoments;
 use antdensity_telemetry as telemetry;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 // Checkpoint latency, split at the durability boundary: `serialize` is
@@ -162,10 +163,6 @@ pub struct Checkpoint {
 
 const MAGIC: &str = crate::schema::CHECKPOINT_MAGIC;
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
 fn parse_f64(tok: &str) -> Result<f64, String> {
     u64::from_str_radix(tok, 16)
         .map(f64::from_bits)
@@ -174,17 +171,6 @@ fn parse_f64(tok: &str) -> Result<f64, String> {
 
 fn parse_int<T: std::str::FromStr>(tok: &str) -> Result<T, String> {
     tok.parse().map_err(|_| format!("bad integer `{tok}`"))
-}
-
-fn moments_line(label: &str, m: &StreamingMoments) -> String {
-    let (count, mean, m2, min, max) = m.raw_parts();
-    format!(
-        "{label} {count} {} {} {} {}\n",
-        f64_hex(mean),
-        f64_hex(m2),
-        f64_hex(min),
-        f64_hex(max)
-    )
 }
 
 fn parse_moments(label: &str, line: &str) -> Result<StreamingMoments, String> {
@@ -201,39 +187,60 @@ fn parse_moments(label: &str, line: &str) -> Result<StreamingMoments, String> {
     ))
 }
 
-/// Renders the checkpoint text for a borrowed shard map — the runner
-/// serializes its live state every wave without cloning aggregates.
-fn render_text(fingerprint: u64, cells: usize, shards: &BTreeMap<usize, CellAggregate>) -> String {
-    let hist_bins = shards
-        .values()
-        .next()
-        .map_or(crate::aggregate::HIST_BINS, |a| a.err_hist.num_bins());
-    let mut out =
-        format!("{MAGIC}\nfingerprint {fingerprint:016x}\ncells {cells} hist_bins {hist_bins}\n");
-    for (&idx, agg) in shards {
-        out.push_str(&format!(
-            "shard {idx} trials {} within {}\n",
-            agg.trials, agg.within
-        ));
-        out.push_str(&moments_line("est", &agg.est));
-        out.push_str(&moments_line("err", &agg.err));
-        out.push_str(&moments_line("aux", &agg.aux));
-        let (lo, hi, bins, under, over, count) = agg.err_hist.raw_parts();
-        out.push_str(&format!(
-            "hist {} {} {under} {over} {count}",
-            f64_hex(lo),
-            f64_hex(hi)
-        ));
-        for b in bins {
-            out.push_str(&format!(" {b}"));
-        }
-        out.push_str("\nend\n");
+/// The header lines; `hist_bins` is the first record's bin count.
+fn render_header(fingerprint: u64, cells: usize, hist_bins: Option<usize>) -> String {
+    let hist_bins = hist_bins.unwrap_or(crate::aggregate::HIST_BINS);
+    format!("{MAGIC}\nfingerprint {fingerprint:016x}\ncells {cells} hist_bins {hist_bins}\n")
+}
+
+/// Appends cell `idx`'s block (`shard` … `end`), formatting straight
+/// into `out`.
+fn render_record(out: &mut String, idx: usize, agg: &CellAggregate) {
+    let _ = writeln!(
+        out,
+        "shard {idx} trials {} within {}",
+        agg.trials, agg.within
+    );
+    for (label, m) in [("est", &agg.est), ("err", &agg.err), ("aux", &agg.aux)] {
+        let (count, mean, m2, min, max) = m.raw_parts();
+        let _ = writeln!(
+            out,
+            "{label} {count} {:016x} {:016x} {:016x} {:016x}",
+            mean.to_bits(),
+            m2.to_bits(),
+            min.to_bits(),
+            max.to_bits()
+        );
     }
-    out
+    let (lo, hi, bins, under, over, count) = agg.err_hist.raw_parts();
+    let _ = write!(
+        out,
+        "hist {:016x} {:016x} {under} {over} {count}",
+        lo.to_bits(),
+        hi.to_bits()
+    );
+    for &b in bins {
+        push_count(out, b);
+    }
+    out.push_str("\nend\n");
+}
+
+/// Appends ` {v}`. Single-digit counts, which fill most bins of a
+/// sparse histogram, skip the formatting machinery.
+fn push_count(out: &mut String, v: u64) {
+    match u8::try_from(v) {
+        Ok(d @ 0..=9) => {
+            out.push(' ');
+            out.push(char::from(b'0' + d));
+        }
+        _ => {
+            let _ = write!(out, " {v}");
+        }
+    }
 }
 
 /// Atomically writes a checkpoint (temp file + rename) straight from a
-/// borrowed shard map.
+/// borrowed shard map, rendering every record.
 ///
 /// # Errors
 ///
@@ -245,22 +252,77 @@ pub fn save_shards(
     cells: usize,
     shards: &BTreeMap<usize, CellAggregate>,
 ) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
+    CheckpointWriter::new(path, fingerprint, cells, shards).save()
+}
+
+/// The checkpoint file of one running sweep, rendered incrementally:
+/// each cell's record is rendered once, when it is inserted, and every
+/// [`CheckpointWriter::save`] writes the header plus the stored records
+/// — the bytes [`Checkpoint::to_text`] renders from the same map.
+#[derive(Debug)]
+pub struct CheckpointWriter {
+    path: PathBuf,
+    fingerprint: u64,
+    cells: usize,
+    /// Rendered record and histogram bin count, keyed by cell index.
+    records: BTreeMap<usize, (String, usize)>,
+}
+
+impl CheckpointWriter {
+    /// A writer for `path` holding the `resumed` cells' records.
+    pub fn new(
+        path: &Path,
+        fingerprint: u64,
+        cells: usize,
+        resumed: &BTreeMap<usize, CellAggregate>,
+    ) -> Self {
+        let mut writer = Self {
+            path: path.to_path_buf(),
+            fingerprint,
+            cells,
+            records: BTreeMap::new(),
+        };
+        for (&idx, agg) in resumed {
+            writer.insert(idx, agg);
         }
+        writer
     }
-    let text = {
+
+    /// Renders cell `idx`'s record, replacing any earlier one.
+    pub fn insert(&mut self, idx: usize, agg: &CellAggregate) {
         let _span = CKPT_SERIALIZE.start();
-        render_text(fingerprint, cells, shards)
-    };
-    let _span = CKPT_RENAME.start();
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, &text)?;
-    std::fs::rename(&tmp, path)?;
-    CKPT_WRITES.add(1);
-    CKPT_BYTES.add(text.len() as u64);
-    Ok(())
+        let mut record = String::new();
+        render_record(&mut record, idx, agg);
+        self.records.insert(idx, (record, agg.err_hist.num_bins()));
+    }
+
+    /// Atomically writes the checkpoint (temp file + rename).
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from creating the parent directory, the
+    /// temp file, or the rename.
+    pub fn save(&self) -> std::io::Result<()> {
+        let text = {
+            let _span = CKPT_SERIALIZE.start();
+            let first = self.records.values().next();
+            let mut out = render_header(self.fingerprint, self.cells, first.map(|r| r.1));
+            out.extend(self.records.values().map(|(record, _)| record.as_str()));
+            out
+        };
+        if let Some(parent) = self.path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)?;
+            }
+        }
+        let _span = CKPT_RENAME.start();
+        let tmp = self.path.with_extension("ckpt.tmp");
+        std::fs::write(&tmp, &text)?;
+        std::fs::rename(&tmp, &self.path)?;
+        CKPT_WRITES.add(1);
+        CKPT_BYTES.add(text.len() as u64);
+        Ok(())
+    }
 }
 
 impl Checkpoint {
@@ -275,7 +337,16 @@ impl Checkpoint {
 
     /// Serializes to the checkpoint text format.
     pub fn to_text(&self) -> String {
-        render_text(self.fingerprint, self.cells, &self.shards)
+        let first = self.shards.values().next();
+        let mut out = render_header(
+            self.fingerprint,
+            self.cells,
+            first.map(|a| a.err_hist.num_bins()),
+        );
+        for (&idx, agg) in &self.shards {
+            render_record(&mut out, idx, agg);
+        }
+        out
     }
 
     /// Parses the checkpoint text format.

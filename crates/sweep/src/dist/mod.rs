@@ -39,7 +39,7 @@ pub use protocol::{Msg, Verb};
 pub use sim::SimOutcome;
 
 use crate::aggregate::CellAggregate;
-use crate::checkpoint::{self, Checkpoint, CheckpointLock};
+use crate::checkpoint::{Checkpoint, CheckpointLock, CheckpointWriter};
 use crate::runner::{load_resume, partition_pending, ShardObserver, SweepOptions, SweepOutcome};
 use crate::spec::{ResolvedSweep, SweepSpec};
 use antdensity_telemetry as telemetry;
@@ -306,25 +306,30 @@ pub fn run_sweep_distributed_observed(
     let mut executed_shards: Vec<usize> = Vec::new();
     let mut stats = DistStats::default();
     if !pending.is_empty() {
-        let ckpt = opts.checkpoint.clone();
         let every = opts.checkpoint_every.max(1);
-        let fingerprint = resolved.fingerprint;
-        let cells_len = resolved.cells.len();
+        let mut writer = opts.checkpoint.as_deref().map(|path| {
+            CheckpointWriter::new(path, resolved.fingerprint, resolved.cells.len(), &done)
+        });
         {
             let resolved_ref = &resolved;
             let done_ref = &mut done;
             let executed_ref = &mut executed_shards;
+            let writer_ref = &mut writer;
             let observer = &mut *on_shard;
             let mut sink = move |shard: u64, blob: &str| -> Result<(), String> {
                 let cells = parse_blob(resolved_ref, blob)?;
                 let go = observer(resolved_ref, shard as usize, &cells);
                 for (cell, agg) in cells {
+                    if let Some(writer) = writer_ref.as_mut() {
+                        writer.insert(cell, &agg);
+                    }
                     done_ref.insert(cell, agg);
                 }
                 executed_ref.push(shard as usize);
-                if let Some(path) = &ckpt {
+                if let Some(writer) = writer_ref.as_ref() {
                     if executed_ref.len().is_multiple_of(every) {
-                        checkpoint::save_shards(path, fingerprint, cells_len, done_ref)
+                        writer
+                            .save()
                             .map_err(|e| format!("checkpoint write failed: {e}"))?;
                     }
                 }
@@ -358,8 +363,9 @@ pub fn run_sweep_distributed_observed(
                 Err(e) => return Err(e),
             }
         }
-        if let Some(path) = &opts.checkpoint {
-            checkpoint::save_shards(path, resolved.fingerprint, resolved.cells.len(), &done)
+        if let Some(writer) = &writer {
+            writer
+                .save()
                 .map_err(|e| DistError::Failed(format!("checkpoint write failed: {e}")))?;
         }
     }

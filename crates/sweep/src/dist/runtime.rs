@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -511,25 +510,16 @@ fn compute_with_heartbeats(
     hb_ms: u64,
     cache: Option<&ShardCache>,
 ) -> String {
-    let stop = Arc::new(AtomicBool::new(false));
+    // The pump sleeps in `recv_timeout`: each timeout is a heartbeat,
+    // and dropping `done` when the blob is ready wakes it at once.
+    let (done, finished) = mpsc::channel::<()>();
     let pump = {
         let w = Arc::clone(w);
-        let stop = Arc::clone(&stop);
         let every = Duration::from_millis(hb_ms.max(10));
         std::thread::spawn(move || {
-            let mut since_beat = Duration::ZERO;
-            let step = Duration::from_millis(10);
-            loop {
-                std::thread::sleep(step);
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                since_beat += step;
-                if since_beat >= every {
-                    since_beat = Duration::ZERO;
-                    if send(&w, &Msg::Heartbeat { worker, lease }).is_err() {
-                        return; // coordinator gone; computation finishes anyway
-                    }
+            while let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(every) {
+                if send(&w, &Msg::Heartbeat { worker, lease }).is_err() {
+                    return; // coordinator gone; computation finishes anyway
                 }
             }
         })
@@ -538,7 +528,8 @@ fn compute_with_heartbeats(
         Some(cache) => shard_blob_cached(resolved, shard as usize, fuse, cache),
         None => shard_blob(resolved, shard as usize, fuse),
     };
-    stop.store(true, Ordering::Relaxed);
+    // Joined before the caller sends RESULT: no heartbeat follows it.
+    drop(done);
     let _ = pump.join();
     blob
 }

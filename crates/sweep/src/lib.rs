@@ -61,7 +61,7 @@ pub mod spec;
 
 pub use aggregate::CellAggregate;
 pub use cache::{CacheStats, ShardCache};
-pub use checkpoint::{Checkpoint, CheckpointLock};
+pub use checkpoint::{Checkpoint, CheckpointLock, CheckpointWriter};
 pub use dist::{
     run_sweep_distributed, run_sweep_distributed_observed, DistError, DistOptions, DistStats,
     FaultPlan, Transport,

@@ -25,7 +25,7 @@
 //! work, and [`run_sweep`] with `resume` picks up from the checkpoint.
 
 use crate::aggregate::CellAggregate;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointWriter};
 use crate::spec::{FusedShard, ResolvedSweep, SweepSpec};
 use antdensity_engine::{EstimatorSpec, ObserverTap, Scenario, WorkerPool};
 use antdensity_stats::rng::SeedSequence;
@@ -391,6 +391,10 @@ pub fn run_sweep_observed(
     let wave_size = opts.checkpoint_every.max(1);
     let pool: &WorkerPool = opts.pool.as_deref().unwrap_or_else(|| WorkerPool::global());
     let fuse = opts.fuse;
+    let mut writer = opts
+        .checkpoint
+        .as_deref()
+        .map(|path| CheckpointWriter::new(path, resolved.fingerprint, resolved.cells.len(), &done));
 
     // Effective-vs-requested parallelism: the pool (sized to the
     // machine's available parallelism unless the caller pinned one)
@@ -485,12 +489,16 @@ pub fn run_sweep_observed(
                 cancelled = true;
             }
             for (cell_idx, agg) in cell_aggs {
+                if let Some(writer) = &mut writer {
+                    writer.insert(cell_idx, &agg);
+                }
                 done.insert(cell_idx, agg);
             }
         }
         executed += wave.len();
-        if let Some(path) = &opts.checkpoint {
-            crate::checkpoint::save_shards(path, resolved.fingerprint, resolved.cells.len(), &done)
+        if let Some(writer) = &writer {
+            writer
+                .save()
                 .map_err(|e| format!("checkpoint write failed: {e}"))?;
         }
         drop(wave_span);

@@ -329,9 +329,14 @@ fn tcp_loopback_real_runtime_matches_in_process() {
             })
         })
         .collect();
+    // The sweep takes milliseconds, so one peer could finish it before
+    // the other's next connect retry; the late peer would then see
+    // "connection closed before SPEC" and `workers_seen` would be 1.
+    // Holding the first RESULT for 500 ms keeps its peer busy and the
+    // remaining shards pending until the second peer has connected.
     let dopts = DistOptions {
         transport: Transport::Listen { addr: addr.clone() },
-        plan: FaultPlan::none(),
+        plan: FaultPlan::parse("delay:result@1:500").unwrap(),
         config: DistConfig::default(),
         spec_text: Some(spec_text.to_string()),
         worker_argv: None,
