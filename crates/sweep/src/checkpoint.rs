@@ -34,8 +34,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 // Checkpoint latency, split at the durability boundary: `serialize` is
-// the in-memory text render, `rename` is the temp-file write plus the
-// atomic rename that publishes it.
+// the in-memory text render (one sample per cell record rendered, plus
+// one per save for the header and concatenation), `rename` is the
+// temp-file write plus the atomic rename that publishes it.
 static CKPT_SERIALIZE: telemetry::SpanMetric =
     telemetry::SpanMetric::new("sweep.checkpoint_serialize");
 static CKPT_RENAME: telemetry::SpanMetric = telemetry::SpanMetric::new("sweep.checkpoint_rename");
@@ -219,24 +220,10 @@ fn render_record(out: &mut String, idx: usize, agg: &CellAggregate) {
         lo.to_bits(),
         hi.to_bits()
     );
-    for &b in bins {
-        push_count(out, b);
+    for b in bins {
+        let _ = write!(out, " {b}");
     }
     out.push_str("\nend\n");
-}
-
-/// Appends ` {v}`. Single-digit counts, which fill most bins of a
-/// sparse histogram, skip the formatting machinery.
-fn push_count(out: &mut String, v: u64) {
-    match u8::try_from(v) {
-        Ok(d @ 0..=9) => {
-            out.push(' ');
-            out.push(char::from(b'0' + d));
-        }
-        _ => {
-            let _ = write!(out, " {v}");
-        }
-    }
 }
 
 /// Atomically writes a checkpoint (temp file + rename) straight from a

@@ -14,7 +14,11 @@ use antdensity_sweep::dist::{self, DistConfig, DistOptions, FaultPlan, Transport
 use antdensity_sweep::{
     build_report, run_sweep, run_sweep_distributed, DistError, SweepOptions, SweepSpec,
 };
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn spec() -> SweepSpec {
     antdensity_telemetry::set_enabled(true);
@@ -311,32 +315,45 @@ fn tcp_loopback_real_runtime_matches_in_process() {
         ";
     let port = 20000 + (std::process::id() % 20000) as u16;
     let addr = format!("127.0.0.1:{port}");
+    // One peer can finish the whole sweep in a few milliseconds, so a
+    // peer that connects a retry later would find the run over. Each
+    // peer holds its first frame after HELLO (it writes nothing before
+    // its first LEASE) until both have been leased a shard: by then the
+    // coordinator has seen both HELLOs. The coordinator runs fault-free.
+    let leased = Arc::new((Mutex::new(0usize), Condvar::new()));
     let workers: Vec<_> = (0..2)
         .map(|_| {
             let addr = addr.clone();
+            let leased = Arc::clone(&leased);
             std::thread::spawn(move || {
                 // The listener comes up concurrently; retry briefly.
                 for _ in 0..100 {
-                    match dist::runtime::run_worker_connect(&addr, None) {
-                        Ok(()) => return Ok(()),
-                        Err(e) if e.contains("cannot connect") => {
-                            std::thread::sleep(std::time::Duration::from_millis(20));
+                    match TcpStream::connect(&addr) {
+                        Ok(stream) => {
+                            let _ = stream.set_nodelay(true);
+                            let read_half = BufReader::new(stream.try_clone().unwrap());
+                            let writer = LeaseGate {
+                                stream,
+                                hello_sent: false,
+                                leased: Some(leased),
+                            };
+                            let writer: Box<dyn Write + Send> = Box::new(writer);
+                            return dist::runtime::worker_loop(
+                                read_half,
+                                Arc::new(Mutex::new(writer)),
+                                None,
+                            );
                         }
-                        Err(e) => return Err(e),
+                        Err(_) => std::thread::sleep(Duration::from_millis(20)),
                     }
                 }
                 Err("listener never came up".to_string())
             })
         })
         .collect();
-    // The sweep takes milliseconds, so one peer could finish it before
-    // the other's next connect retry; the late peer would then see
-    // "connection closed before SPEC" and `workers_seen` would be 1.
-    // Holding the first RESULT for 500 ms keeps its peer busy and the
-    // remaining shards pending until the second peer has connected.
     let dopts = DistOptions {
         transport: Transport::Listen { addr: addr.clone() },
-        plan: FaultPlan::parse("delay:result@1:500").unwrap(),
+        plan: FaultPlan::none(),
         config: DistConfig::default(),
         spec_text: Some(spec_text.to_string()),
         worker_argv: None,
@@ -351,4 +368,37 @@ fn tcp_loopback_real_runtime_matches_in_process() {
     let (r, d) = (build_report(&reference), build_report(&outcome));
     assert_eq!(r.to_json(), d.to_json());
     assert_eq!(r.to_csv(), d.to_csv());
+}
+
+/// A TCP peer's frame writer that holds the peer's first write after
+/// `HELLO` until both peers have reached theirs (or 10 s pass, so a
+/// peer that never gets a lease fails the test instead of hanging it).
+struct LeaseGate {
+    stream: TcpStream,
+    /// `write_frame` flushes once per frame; the first is `HELLO`.
+    hello_sent: bool,
+    /// Peers past their first lease; `None` once this one has passed.
+    leased: Option<Arc<(Mutex<usize>, Condvar)>>,
+}
+
+impl Write for LeaseGate {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.hello_sent {
+            if let Some(leased) = self.leased.take() {
+                let (count, cv) = &*leased;
+                let mut n = count.lock().unwrap();
+                *n += 1;
+                cv.notify_all();
+                let _ = cv
+                    .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                    .unwrap();
+            }
+        }
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.hello_sent = true;
+        self.stream.flush()
+    }
 }
