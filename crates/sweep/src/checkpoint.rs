@@ -35,8 +35,9 @@ use std::path::{Path, PathBuf};
 
 // Checkpoint latency, split at the durability boundary: `serialize` is
 // the in-memory text render (one sample per cell record rendered, plus
-// one per save for the header and concatenation), `rename` is the
-// temp-file write plus the atomic rename that publishes it.
+// one per save for the header and concatenation; records a distributed
+// run takes from result blobs are not rendered and add none), `rename`
+// is the temp-file write plus the atomic rename that publishes it.
 static CKPT_SERIALIZE: telemetry::SpanMetric =
     telemetry::SpanMetric::new("sweep.checkpoint_serialize");
 static CKPT_RENAME: telemetry::SpanMetric = telemetry::SpanMetric::new("sweep.checkpoint_rename");
@@ -188,6 +189,30 @@ fn parse_moments(label: &str, line: &str) -> Result<StreamingMoments, String> {
     ))
 }
 
+/// `str::lines` that also tracks the byte offset just past the last
+/// line it returned, line break included.
+struct Lines<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = &self.text[self.pos..];
+        if rest.is_empty() {
+            return None;
+        }
+        let (line, len) = match rest.find('\n') {
+            Some(at) => (rest[..at].strip_suffix('\r').unwrap_or(&rest[..at]), at + 1),
+            None => (rest, rest.len()),
+        };
+        self.pos += len;
+        Some(line)
+    }
+}
+
 /// The header lines; `hist_bins` is the first record's bin count.
 fn render_header(fingerprint: u64, cells: usize, hist_bins: Option<usize>) -> String {
     let hist_bins = hist_bins.unwrap_or(crate::aggregate::HIST_BINS);
@@ -243,7 +268,8 @@ pub fn save_shards(
 }
 
 /// The checkpoint file of one running sweep, rendered incrementally:
-/// each cell's record is rendered once, when it is inserted, and every
+/// each cell's record is rendered once, when it is inserted, or taken
+/// from the result blob it arrived in, and every
 /// [`CheckpointWriter::save`] writes the header plus the stored records
 /// — the bytes [`Checkpoint::to_text`] renders from the same map.
 #[derive(Debug)]
@@ -253,6 +279,8 @@ pub struct CheckpointWriter {
     cells: usize,
     /// Rendered record and histogram bin count, keyed by cell index.
     records: BTreeMap<usize, (String, usize)>,
+    /// Records changed since the last save (true until the first one).
+    dirty: bool,
 }
 
 impl CheckpointWriter {
@@ -268,6 +296,7 @@ impl CheckpointWriter {
             fingerprint,
             cells,
             records: BTreeMap::new(),
+            dirty: true,
         };
         for (&idx, agg) in resumed {
             writer.insert(idx, agg);
@@ -280,16 +309,39 @@ impl CheckpointWriter {
         let _span = CKPT_SERIALIZE.start();
         let mut record = String::new();
         render_record(&mut record, idx, agg);
-        self.records.insert(idx, (record, agg.err_hist.num_bins()));
+        self.store(idx, record, agg);
     }
 
-    /// Atomically writes the checkpoint (temp file + rename).
+    /// Stores cell `idx`'s record as `record`, its text in a parsed
+    /// blob ([`Checkpoint::parse_with_records`]), without rendering it
+    /// again. Only a record that ends in `end\n` and holds no `\r` is
+    /// taken as it is, so the saved file stays parseable whatever a
+    /// worker sent; any other is rendered from `agg` like
+    /// [`CheckpointWriter::insert`].
+    pub fn insert_parsed(&mut self, idx: usize, agg: &CellAggregate, record: &str) {
+        if record.ends_with("end\n") && !record.contains('\r') {
+            self.store(idx, record.to_owned(), agg);
+        } else {
+            self.insert(idx, agg);
+        }
+    }
+
+    fn store(&mut self, idx: usize, record: String, agg: &CellAggregate) {
+        self.records.insert(idx, (record, agg.err_hist.num_bins()));
+        self.dirty = true;
+    }
+
+    /// Atomically writes the checkpoint (temp file + rename), unless
+    /// nothing changed since the last save.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from creating the parent directory, the
     /// temp file, or the rename.
-    pub fn save(&self) -> std::io::Result<()> {
+    pub fn save(&mut self) -> std::io::Result<()> {
+        if !self.dirty {
+            return Ok(());
+        }
         let text = {
             let _span = CKPT_SERIALIZE.start();
             let first = self.records.values().next();
@@ -306,6 +358,7 @@ impl CheckpointWriter {
         let tmp = self.path.with_extension("ckpt.tmp");
         std::fs::write(&tmp, &text)?;
         std::fs::rename(&tmp, &self.path)?;
+        self.dirty = false;
         CKPT_WRITES.add(1);
         CKPT_BYTES.add(text.len() as u64);
         Ok(())
@@ -344,7 +397,20 @@ impl Checkpoint {
     /// magic, malformed line, truncated shard block, duplicate or
     /// out-of-range shard index).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
+        Self::parse_with_records(text).map(|(ck, _)| ck)
+    }
+
+    /// [`Checkpoint::parse`] that also returns each cell's record as it
+    /// appears in `text`: the `shard` line through the `end` line and
+    /// its line break, if any. A result blob's records are the bytes
+    /// [`CheckpointWriter`] would render, so it can store them as they
+    /// are ([`CheckpointWriter::insert_parsed`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Checkpoint::parse`]'s error conditions.
+    pub fn parse_with_records(text: &str) -> Result<(Self, BTreeMap<usize, &str>), String> {
+        let mut lines = Lines { text, pos: 0 };
         if lines.next() != Some(MAGIC) {
             return Err("not a sweep checkpoint (bad magic line)".into());
         }
@@ -366,7 +432,10 @@ impl Checkpoint {
         };
 
         let mut shards = BTreeMap::new();
-        while let Some(header) = lines.next() {
+        let mut records = BTreeMap::new();
+        loop {
+            let start = lines.pos;
+            let Some(header) = lines.next() else { break };
             if header.trim().is_empty() {
                 continue;
             }
@@ -415,12 +484,14 @@ impl Checkpoint {
             if shards.insert(idx, agg).is_some() {
                 return Err(format!("duplicate shard {idx}"));
             }
+            records.insert(idx, &text[start..lines.pos]);
         }
-        Ok(Self {
+        let ck = Self {
             fingerprint,
             cells,
             shards,
-        })
+        };
+        Ok((ck, records))
     }
 
     /// Writes the checkpoint atomically (temp file + rename).

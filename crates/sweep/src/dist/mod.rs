@@ -56,6 +56,9 @@ static TM_DUPLICATES: telemetry::LazyCounter =
 static TM_DEATHS: telemetry::LazyCounter = telemetry::LazyCounter::new("sweep.dist.worker_deaths");
 static TM_DEGRADED: telemetry::LazyCounter =
     telemetry::LazyCounter::new("sweep.dist.degraded_shards");
+// The coordinator's time per accepted result: blob parse, observer,
+// checkpoint insert, and the wave's checkpoint save when one is due.
+static MERGE_SPAN: telemetry::SpanMetric = telemetry::SpanMetric::new("sweep.dist.merge");
 
 /// Counters one distributed run accumulated; surfaced in METRICS v2.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -204,18 +207,25 @@ pub fn shard_blob_cached(
     blob
 }
 
-/// Parses a returned blob into its `(cell index, aggregate)` pairs
-/// after checking it answers for *this* spec.
+/// A result blob parsed by [`parse_blob`].
+#[derive(Debug)]
+pub struct ParsedBlob<'a> {
+    /// `(cell index, aggregate)` pairs in cell order.
+    pub cells: Vec<(usize, CellAggregate)>,
+    /// Each cell's record text in the blob, in the same order (see
+    /// [`Checkpoint::parse_with_records`]).
+    pub records: Vec<&'a str>,
+}
+
+/// Parses a returned blob into its `(cell index, aggregate)` pairs and
+/// their record texts after checking it answers for *this* spec.
 ///
 /// # Errors
 ///
 /// Returns parse failures and fingerprint/cell-count mismatches (a
 /// worker answering for a different spec).
-pub fn parse_blob(
-    resolved: &ResolvedSweep,
-    blob: &str,
-) -> Result<Vec<(usize, CellAggregate)>, String> {
-    let ck = Checkpoint::parse(blob)?;
+pub fn parse_blob<'a>(resolved: &ResolvedSweep, blob: &'a str) -> Result<ParsedBlob<'a>, String> {
+    let (ck, records) = Checkpoint::parse_with_records(blob)?;
     if ck.fingerprint != resolved.fingerprint {
         return Err(format!(
             "result blob fingerprint {:016x} does not match the resolved spec ({:016x})",
@@ -229,7 +239,10 @@ pub fn parse_blob(
             resolved.cells.len()
         ));
     }
-    Ok(ck.shards.into_iter().collect())
+    Ok(ParsedBlob {
+        cells: ck.shards.into_iter().collect(),
+        records: records.into_values().collect(),
+    })
 }
 
 /// Parses a returned blob and merges its cell aggregates into `done`.
@@ -242,9 +255,7 @@ pub fn merge_blob(
     blob: &str,
     done: &mut BTreeMap<usize, CellAggregate>,
 ) -> Result<(), String> {
-    for (cell, agg) in parse_blob(resolved, blob)? {
-        done.insert(cell, agg);
-    }
+    done.extend(parse_blob(resolved, blob)?.cells);
     Ok(())
 }
 
@@ -317,16 +328,17 @@ pub fn run_sweep_distributed_observed(
             let writer_ref = &mut writer;
             let observer = &mut *on_shard;
             let mut sink = move |shard: u64, blob: &str| -> Result<(), String> {
-                let cells = parse_blob(resolved_ref, blob)?;
-                let go = observer(resolved_ref, shard as usize, &cells);
-                for (cell, agg) in cells {
+                let _span = MERGE_SPAN.start();
+                let parsed = parse_blob(resolved_ref, blob)?;
+                let go = observer(resolved_ref, shard as usize, &parsed.cells);
+                for ((cell, agg), record) in parsed.cells.into_iter().zip(parsed.records) {
                     if let Some(writer) = writer_ref.as_mut() {
-                        writer.insert(cell, &agg);
+                        writer.insert_parsed(cell, &agg, record);
                     }
                     done_ref.insert(cell, agg);
                 }
                 executed_ref.push(shard as usize);
-                if let Some(writer) = writer_ref.as_ref() {
+                if let Some(writer) = writer_ref.as_mut() {
                     if executed_ref.len().is_multiple_of(every) {
                         writer
                             .save()
@@ -363,7 +375,8 @@ pub fn run_sweep_distributed_observed(
                 Err(e) => return Err(e),
             }
         }
-        if let Some(writer) = &writer {
+        // Saves only what the last in-run save did not cover.
+        if let Some(writer) = &mut writer {
             writer
                 .save()
                 .map_err(|e| DistError::Failed(format!("checkpoint write failed: {e}")))?;

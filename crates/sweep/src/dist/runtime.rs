@@ -22,10 +22,11 @@ use crate::spec::{ResolvedSweep, SweepSpec};
 use antdensity_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Exit status a worker uses when a `kill:` fault entry fires —
@@ -42,6 +43,71 @@ enum Wire {
 struct Link {
     writer: Box<dyn Write + Send>,
     child: Option<Child>,
+}
+
+/// The `--listen` acceptor thread and what it takes to stop it.
+struct Acceptor {
+    addr: SocketAddr,
+    closing: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl Acceptor {
+    /// Binds `addr` and forwards each accepted peer as [`Wire::Conn`].
+    /// Once [`Acceptor::close`] runs, a peer is answered with `SHUTDOWN`
+    /// and the listener is dropped.
+    fn spawn(addr: &str, tx: mpsc::Sender<Wire>) -> Result<Self, String> {
+        let listener =
+            TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+        let local = listener
+            .local_addr()
+            .map_err(|e| format!("cannot read the address of {addr}: {e}"))?;
+        let closing = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let closing = Arc::clone(&closing);
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    let Ok(stream) = stream else { continue };
+                    if closing.load(Ordering::SeqCst) {
+                        // Answer this peer and every one queued behind
+                        // it, then drop the listener.
+                        let _ = listener.set_nonblocking(true);
+                        let queued = listener.incoming().map_while(Result::ok);
+                        for mut peer in std::iter::once(stream).chain(queued) {
+                            let _ = write_frame(&mut peer, &Msg::Shutdown);
+                        }
+                        return;
+                    }
+                    if tx.send(Wire::Conn(stream)).is_err() {
+                        return;
+                    }
+                }
+            })
+        };
+        Ok(Self {
+            addr: local,
+            closing,
+            thread,
+        })
+    }
+
+    /// Wakes the acceptor with a connection of our own and waits until
+    /// it has dropped the listener, so the port is free on return.
+    fn close(self) {
+        self.closing.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Without the wake-up the thread would block in `accept`; leave
+        // it to exit on the next connection instead.
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = self.thread.join();
+        }
+    }
 }
 
 fn default_worker_argv(cache: Option<&ShardCache>) -> Result<Vec<String>, String> {
@@ -161,6 +227,7 @@ pub(crate) fn run_real(
 
     // Bring the transport up.
     let mut cmds: Vec<Cmd> = Vec::new();
+    let mut acceptor: Option<Acceptor> = None;
     match &dopts.transport {
         Transport::Children { workers } => {
             for id in 0..*workers as u64 {
@@ -176,17 +243,7 @@ pub(crate) fn run_real(
             }
         }
         Transport::Listen { addr } => {
-            let listener = TcpListener::bind(addr)
-                .map_err(|e| fail(format!("cannot listen on {addr}: {e}")))?;
-            let acceptor_tx = tx.clone();
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    if acceptor_tx.send(Wire::Conn(stream)).is_err() {
-                        return; // run over; listener drops, port freed
-                    }
-                }
-            });
+            acceptor = Some(Acceptor::spawn(addr, tx.clone()).map_err(fail)?);
         }
         Transport::Sim { .. } => {
             return Err(fail(
@@ -195,10 +252,16 @@ pub(crate) fn run_real(
         }
     }
     let mut next_peer_id = 0u64;
+    let mut failure: Option<DistError> = None;
 
-    loop {
-        // Execute pending commands before waiting.
-        for cmd in std::mem::take(&mut cmds) {
+    'run: loop {
+        // Execute pending commands before waiting. Leases and shutdowns
+        // go out first (a stable partition), so a worker computes its
+        // next shard while the sinks below merge the last one.
+        let (sends, rest): (Vec<Cmd>, Vec<Cmd>) = std::mem::take(&mut cmds)
+            .into_iter()
+            .partition(|cmd| matches!(cmd, Cmd::SendLease { .. } | Cmd::SendShutdown { .. }));
+        for cmd in sends.into_iter().chain(rest) {
             match cmd {
                 Cmd::SendLease {
                     worker,
@@ -217,7 +280,14 @@ pub(crate) fn run_real(
                 Cmd::Respawn { worker, at_ms } => {
                     respawn_at.entry(at_ms).or_default().push(worker);
                 }
-                Cmd::Completed { shard, blob } => sink(shard, &blob).map_err(fail)?,
+                Cmd::Completed { shard, blob } => {
+                    if let Err(e) = sink(shard, &blob) {
+                        // Still through the teardown below: no child
+                        // outlives the run, live or unreaped.
+                        failure = Some(fail(e));
+                        break 'run;
+                    }
+                }
                 Cmd::Degrade { shards } => degraded = Some(shards),
                 Cmd::Abort { shard, report } => abort = Some((shard, report)),
                 Cmd::AllDone => {}
@@ -331,7 +401,8 @@ pub(crate) fn run_real(
     }
 
     // Tear the transport down: shutdown frames, closed stdins, and a
-    // hard kill for any child that ignores both.
+    // hard kill for any child that ignores both. A peer that reached
+    // the acceptor after the run ended is answered with SHUTDOWN.
     for (_, link) in links.iter_mut() {
         let _ = write_frame(&mut link.writer, &Msg::Shutdown);
     }
@@ -342,8 +413,19 @@ pub(crate) fn run_real(
             let _ = child.wait();
         }
     }
+    if let Some(acceptor) = acceptor {
+        acceptor.close();
+    }
+    while let Ok(wire) = rx.try_recv() {
+        if let Wire::Conn(mut stream) = wire {
+            let _ = write_frame(&mut stream, &Msg::Shutdown);
+        }
+    }
     drop(tx);
 
+    if let Some(e) = failure {
+        return Err(e);
+    }
     if let Some((shard, report)) = abort {
         return Err(DistError::Mismatch { shard, report });
     }
@@ -418,7 +500,10 @@ fn deliver(
 
 /// The worker side of the protocol, generic over the transport.
 /// Reads `SPEC`, answers `HELLO`, then serves leases until `SHUTDOWN`
-/// or EOF; heartbeats ride a helper thread while a shard computes.
+/// or EOF; one heartbeat pump thread, started after `SPEC` and joined
+/// before returning, heartbeats whichever lease is computing. A
+/// `SHUTDOWN` in place of `SPEC` (a peer that reached a coordinator
+/// whose run had ended) is a clean exit.
 /// With a `cache`, each lease consults the worker-local store before
 /// stepping — a verified hit is returned as the result blob without
 /// simulating (the bytes are identical either way, so the coordinator's
@@ -444,6 +529,9 @@ pub fn worker_loop<R: std::io::BufRead>(
         spec,
     } = first
     else {
+        if first == Msg::Shutdown {
+            return Ok(());
+        }
         return Err(format!("expected SPEC, got {}", first_verb(&first)));
     };
     let plan = FaultPlan::parse(&plan)?;
@@ -455,39 +543,49 @@ pub fn worker_loop<R: std::io::BufRead>(
             fingerprint: resolved.fingerprint,
         },
     )?;
-    let mut ordinal = 0u64;
-    loop {
-        match read_frame(&mut r) {
-            Ok(None) | Ok(Some(Msg::Shutdown)) => return Ok(()),
-            Ok(Some(Msg::Lease { lease, shard })) => {
-                ordinal += 1;
-                if plan.kills(worker, lease, ordinal) {
-                    // Scripted abrupt death: no shutdown handshake, no
-                    // flush — the coordinator sees EOF.
-                    std::process::exit(KILLED_BY_PLAN_EXIT);
+    let pump = Pump::new(Duration::from_millis(hb_ms.max(10)));
+    std::thread::scope(|scope| {
+        let _stop = StopPump(&pump);
+        scope.spawn(|| pump.run(&w, worker));
+        let mut ordinal = 0u64;
+        loop {
+            match read_frame(&mut r) {
+                Ok(None) | Ok(Some(Msg::Shutdown)) => return Ok(()),
+                Ok(Some(Msg::Lease { lease, shard })) => {
+                    ordinal += 1;
+                    if plan.kills(worker, lease, ordinal) {
+                        // Scripted abrupt death: no shutdown handshake,
+                        // no flush — the coordinator sees EOF.
+                        std::process::exit(KILLED_BY_PLAN_EXIT);
+                    }
+                    if shard as usize >= resolved.fused.len() {
+                        send(
+                            &w,
+                            &Msg::Nack {
+                                lease,
+                                reason: format!(
+                                    "shard {shard} out of range ({} fused shards)",
+                                    resolved.fused.len()
+                                ),
+                            },
+                        )?;
+                        continue;
+                    }
+                    pump.set(Some(lease));
+                    let blob = match cache {
+                        Some(cache) => shard_blob_cached(&resolved, shard as usize, fuse, cache),
+                        None => shard_blob(&resolved, shard as usize, fuse),
+                    };
+                    // Cleared under the lock the pump sends under: no
+                    // heartbeat for this lease can follow its RESULT.
+                    pump.set(None);
+                    send(&w, &Msg::Result { lease, shard, blob })?;
                 }
-                if shard as usize >= resolved.fused.len() {
-                    send(
-                        &w,
-                        &Msg::Nack {
-                            lease,
-                            reason: format!(
-                                "shard {shard} out of range ({} fused shards)",
-                                resolved.fused.len()
-                            ),
-                        },
-                    )?;
-                    continue;
-                }
-                let blob = compute_with_heartbeats(
-                    &w, &resolved, worker, lease, shard, fuse, hb_ms, cache,
-                );
-                send(&w, &Msg::Result { lease, shard, blob })?;
+                Ok(Some(other)) => return Err(format!("unexpected {} frame", first_verb(&other))),
+                Err(e) => return Err(e),
             }
-            Ok(Some(other)) => return Err(format!("unexpected {} frame", first_verb(&other))),
-            Err(e) => return Err(e),
         }
-    }
+    })
 }
 
 fn first_verb(msg: &Msg) -> &'static str {
@@ -499,39 +597,71 @@ fn send(w: &Arc<Mutex<Box<dyn Write + Send>>>, msg: &Msg) -> Result<(), String> 
     write_frame(&mut *guard, msg).map_err(|e| format!("send failed: {e}"))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compute_with_heartbeats(
-    w: &Arc<Mutex<Box<dyn Write + Send>>>,
-    resolved: &ResolvedSweep,
-    worker: u64,
-    lease: u64,
-    shard: u64,
-    fuse: bool,
-    hb_ms: u64,
-    cache: Option<&ShardCache>,
-) -> String {
-    // The pump sleeps in `recv_timeout`: each timeout is a heartbeat,
-    // and dropping `done` when the blob is ready wakes it at once.
-    let (done, finished) = mpsc::channel::<()>();
-    let pump = {
-        let w = Arc::clone(w);
-        let every = Duration::from_millis(hb_ms.max(10));
-        std::thread::spawn(move || {
-            while let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(every) {
-                if send(&w, &Msg::Heartbeat { worker, lease }).is_err() {
+/// A worker's heartbeat pump: the lease being computed, shared with the
+/// one thread that heartbeats it.
+struct Pump {
+    every: Duration,
+    state: Mutex<PumpState>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct PumpState {
+    /// The computing lease and when its next heartbeat is due.
+    lease: Option<(u64, Instant)>,
+    /// Ends the pump thread.
+    stop: bool,
+}
+
+impl Pump {
+    fn new(every: Duration) -> Self {
+        Self {
+            every,
+            state: Mutex::default(),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Sets or clears the computing lease. Setting it wakes nobody: an
+    /// idle pump looks again every period, so the first heartbeat still
+    /// comes one period after the lease started.
+    fn set(&self, lease: Option<u64>) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.lease = lease.map(|lease| (lease, Instant::now() + self.every));
+    }
+
+    /// Heartbeats the current lease when due until stopped. Each
+    /// heartbeat is sent with the state lock held.
+    fn run(&self, w: &Arc<Mutex<Box<dyn Write + Send>>>, worker: u64) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        while !state.stop {
+            let mut wait = self.every;
+            if let Some((lease, due)) = state.lease {
+                let now = Instant::now();
+                if now < due {
+                    wait = due - now;
+                } else if send(w, &Msg::Heartbeat { worker, lease }).is_ok() {
+                    state.lease = Some((lease, now + self.every));
+                } else {
                     return; // coordinator gone; computation finishes anyway
                 }
             }
-        })
-    };
-    let blob = match cache {
-        Some(cache) => shard_blob_cached(resolved, shard as usize, fuse, cache),
-        None => shard_blob(resolved, shard as usize, fuse),
-    };
-    // Joined before the caller sends RESULT: no heartbeat follows it.
-    drop(done);
-    let _ = pump.join();
-    blob
+            state = match self.wake.wait_timeout(state, wait) {
+                Ok((state, _)) => state,
+                Err(e) => e.into_inner().0,
+            };
+        }
+    }
+}
+
+/// Stops the pump when the lease loop ends, on every path out of it.
+struct StopPump<'a>(&'a Pump);
+
+impl Drop for StopPump<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
+        self.0.wake.notify_one();
+    }
 }
 
 /// Runs a worker speaking frames on stdin/stdout — the child half of

@@ -318,10 +318,11 @@ fn run_shard_cached(
                     fresh.len()
                 ));
             }
-            return Ok((crate::dist::parse_blob(resolved, &fresh)?, true));
+            return Ok((crate::dist::parse_blob(resolved, &fresh)?.cells, true));
         }
-        let cells =
-            crate::dist::parse_blob(resolved, &blob).expect("blob_get already verified the blob");
+        let cells = crate::dist::parse_blob(resolved, &blob)
+            .expect("blob_get already verified the blob")
+            .cells;
         return Ok((cells, false));
     }
     let cells = if fuse {
@@ -496,7 +497,7 @@ pub fn run_sweep_observed(
             }
         }
         executed += wave.len();
-        if let Some(writer) = &writer {
+        if let Some(writer) = &mut writer {
             writer
                 .save()
                 .map_err(|e| format!("checkpoint write failed: {e}"))?;

@@ -123,3 +123,51 @@ fn trivial_leases_do_not_wait_for_a_heartbeat_tick() {
         "{leases} trivial leases took {elapsed:?}"
     );
 }
+
+#[test]
+fn heartbeat_pump_does_not_outlive_the_loop() {
+    let spec = Msg::Spec {
+        worker: 0,
+        quick: false,
+        fuse: true,
+        hb_ms: 10,
+        plan: String::new(),
+        spec: "name = hb_pump\nseed = 7\ntrials = 1\ntopology = complete:8\n\
+               density = 0.5\nrounds = 1\nestimator = alg1\n"
+            .to_string(),
+    }
+    .encode_frame();
+    let lease = Msg::Lease { lease: 1, shard: 0 }.encode_frame();
+    // A clean SHUTDOWN, EOF, and a protocol error after a lease: each
+    // way out of the loop joins the pump, which alone could still hold
+    // a reference to the writer.
+    let endings: [(&str, Vec<u8>, bool); 3] = [
+        ("shutdown", Msg::Shutdown.encode_frame(), true),
+        ("eof", Vec::new(), true),
+        ("error", spec.clone(), false),
+    ];
+    for (label, ending, ok) in endings {
+        let input = [spec.as_slice(), &lease, &ending].concat();
+        let writer: Arc<Mutex<Box<dyn Write + Send>>> =
+            Arc::new(Mutex::new(Box::new(SharedBuf::default())));
+        let result = worker_loop(BufReader::new(input.as_slice()), Arc::clone(&writer), None);
+        assert_eq!(result.is_ok(), ok, "{label}: {result:?}");
+        assert_eq!(
+            Arc::strong_count(&writer),
+            1,
+            "{label}: a writer is still held"
+        );
+    }
+}
+
+#[test]
+fn shutdown_before_spec_is_a_clean_exit() {
+    let out = SharedBuf::default();
+    let writer: Arc<Mutex<Box<dyn Write + Send>>> = Arc::new(Mutex::new(Box::new(out.clone())));
+    let input = Msg::Shutdown.encode_frame();
+    worker_loop(BufReader::new(input.as_slice()), Arc::clone(&writer), None).unwrap();
+    assert!(out.0.lock().unwrap().is_empty(), "the worker answered");
+
+    let err = worker_loop(BufReader::new(&[][..]), writer, None).unwrap_err();
+    assert!(err.contains("before SPEC"), "{err}");
+}
